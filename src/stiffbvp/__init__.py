@@ -20,17 +20,17 @@ from .errors import (ColdStartFailure, ConfigError, DomainError,
 from .mesh import (EvolvingMesh, Knot, RefinementConfig, init_linear,
                    normalize, refine)
 from .ode_system import (BoundaryConditions, OdeSystem, eval_jacobian,
-                         eval_rhs, eval_rhs_batch, fd_jacobian,
-                         from_second_order)
+                         eval_jacobian_batch, eval_rhs, eval_rhs_batch,
+                         fd_jacobian, from_second_order)
 from .problems import (ProblemSpec, ReferenceTable, export_reference,
                        linear_verification, problem_by_name, reference_lookup,
-                       troesch)
+                       troesch, troesch_endpoints)
 from .strategy import (AutoStrategy, GrowthZoneStrategy, IdentityStrategy,
                        SteepGrowthZoneStrategy, StiffnessConfig,
                        TransformStrategy, select_flips, select_swap_index,
                        stiffness_measure, strategy_by_name)
 from .transform import (IDENTITY, NaturalState, Transform, apply, flip_system,
-                        map_state, swap_system, unmap_state)
+                        map_state, state_jacobian, swap_system, unmap_state)
 from .trapezoid import (BlockJacobian, NewtonConfig, SegmentedProblem,
                         Solution, assemble_jacobian, assemble_residual,
                         newton_solve, solve_linear_block)

@@ -88,7 +88,8 @@ def endpoint_derivatives(sol: Solution):
 
 
 class ContinuationOracle:
-    """Reference values from the solver itself on a much finer mesh.
+    """Reference values from the solver itself on a much finer mesh, for
+    problem families without a solver-independent ``reference_fn``.
 
     Solutions are built by warm-started unit-step continuation in lambda
     with the three-zone strategy on a mesh whose natural steps are capped
@@ -161,11 +162,16 @@ def _rel_err(value: float, ref: Optional[float]) -> float:
 
 def _references(spec: ProblemSpec, oracle: Optional[ContinuationOracle],
                 lam: float, h_ref: float):
+    """Reference endpoint derivatives: the embedded table, then the
+    family's solver-independent ``reference_fn``, then the oracle.  Runs
+    without an oracle use the table only."""
     hit = reference_lookup(spec.reference, lam)
     if hit is not None and hit[0] is not None and hit[1] is not None:
         return hit
     if oracle is None:
         return (None, None) if hit is None else hit
+    if spec.reference_fn is not None:
+        return spec.reference_fn()
     return oracle.endpoints(lam, h_ref)
 
 

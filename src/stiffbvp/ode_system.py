@@ -4,7 +4,9 @@ Right-hand sides follow a batch convention: ``rhs(u, t)`` must accept
 ``u`` of shape ``(n,)`` with scalar ``t`` and, preferably, ``u`` of shape
 ``(n, B)`` with ``t`` of shape ``(B,)`` (numpy broadcasting usually gives
 this for free).  Evaluation helpers fall back to a per-point loop when a
-right-hand side is not batch-safe.
+right-hand side is not batch-safe.  An analytic ``jac`` follows the same
+convention with the batch axis last: shape ``(n, n+1)`` for one state and
+``(n, n+1, B)`` for a batch; it must be batch-safe.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ class OdeSystem:
     """System of n first-order ODEs u'(t) = F(u(t), t).
 
     ``jac``, when given, maps (u, t) to the n x (n+1) matrix whose first n
-    columns are dF/du and whose last column is dF/dt.  ``params`` holds
-    named parameters (e.g. ``lambda``) so continuation can rebuild systems
-    without reconstructing closures.
+    columns are dF/du and whose last column is dF/dt; for a batch
+    (u of shape (n, B), t of shape (B,)) it returns shape (n, n+1, B).
+    ``params`` holds named parameters (e.g. ``lambda``) so continuation can
+    rebuild systems without reconstructing closures.
     """
 
     n: int
@@ -125,6 +128,45 @@ def eval_jacobian(system: OdeSystem, u, t, backend=DEFAULT_BACKEND):
             raise EvaluationError("non-finite analytic Jacobian entry")
         return out
     return fd_jacobian(system, u, t, backend)
+
+
+def eval_jacobian_batch(system: OdeSystem, U, T, scale=None,
+                        backend=DEFAULT_BACKEND):
+    """[dF/du | dF/dt] at many states at once, shape (n, n+1, B).
+
+    ``U`` has shape (n, B), ``T`` shape (B,).  Uses the analytic ``jac``
+    when present, otherwise central differences of the rhs with step
+    eps^(1/3) * max(|x|, scale) per coordinate x of (u, t); ``scale`` is
+    an (n+1, B) array of coordinate magnitudes and defaults to 1.
+    Non-finite entries raise EvaluationError.
+    """
+    U = np.asarray(U, dtype=float)
+    T = np.asarray(T, dtype=float)
+    n, count = U.shape
+    if system.jac is not None:
+        # overflow to inf is expected near steep layers and reported below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = np.asarray(system.jac(U, T), dtype=float)
+        if out.shape != (n, n + 1, count):
+            raise EvaluationError(
+                f"jac returned shape {out.shape}, "
+                f"expected ({n}, {n + 1}, {count})")
+    else:
+        Z = np.vstack([U, T])
+        h = backend.fd_rel_step * np.maximum(
+            np.abs(Z), 1.0 if scale is None else scale)
+        out = np.empty((n, n + 1, count))
+        for j in range(n + 1):
+            Zp, Zm = Z.copy(), Z.copy()
+            Zp[j] += h[j]
+            Zm[j] -= h[j]
+            out[:, j] = ((eval_rhs_batch(system, Zp[:n], Zp[n])
+                          - eval_rhs_batch(system, Zm[:n], Zm[n]))
+                         / (Zp[j] - Zm[j]))
+    if not np.isfinite(out).all():
+        raise EvaluationError("non-finite Jacobian entry in batched "
+                              "evaluation")
+    return out
 
 
 def fd_jacobian(system: OdeSystem, u, t, backend=DEFAULT_BACKEND):

@@ -2,13 +2,16 @@
 
 Contains the Troesch problem (the classical stiff two-point benchmark
 u'' = lambda*sinh(lambda*u) with u(0)=0, u(1)=1 written as a first-order
-system) and a linear verification problem with a closed-form solution.
+system) with its endpoint derivatives from the first integral, and a
+linear verification problem with a closed-form solution.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -36,6 +39,9 @@ class ProblemSpec:
     name: str = ""
     reference: Optional[ReferenceTable] = None
     exact: Optional[Callable] = None     # t -> u, when a closed form exists
+    # () -> (u2_at_a, u2_at_b) computed without the solver, when the family
+    # has such a method; consulted for lambdas the table does not cover
+    reference_fn: Optional[Callable[[], Tuple[float, float]]] = None
 
     def __post_init__(self):
         a, b = self.domain
@@ -70,9 +76,11 @@ def troesch(lam: float) -> ProblemSpec:
                          lam * np.sinh(lam * u1)])
 
     def jac(u, t):
-        u1 = u[0]
-        return np.array([[0.0, 1.0, 0.0],
-                         [lam * lam * np.cosh(lam * u1), 0.0, 0.0]])
+        u1 = np.asarray(u[0], dtype=float)
+        out = np.zeros((2, 3) + u1.shape)
+        out[0, 1] = 1.0
+        out[1, 0] = lam * lam * np.cosh(lam * u1)
+        return out
 
     system = OdeSystem(2, rhs, jac=jac, params={"lam": lam}, name="troesch")
 
@@ -82,7 +90,56 @@ def troesch(lam: float) -> ProblemSpec:
     bc = BoundaryConditions(bc_residual, separated_mask=(True, True),
                             pins={("a", 1): (0, 0.0), ("b", 1): (1, 1.0)})
     return ProblemSpec(system, bc, (0.0, 1.0), name=f"troesch(lam={lam:g})",
-                       reference=_TROESCH_REFERENCE)
+                       reference=_TROESCH_REFERENCE,
+                       reference_fn=partial(troesch_endpoints, lam))
+
+
+def _log_sinh(x):
+    """log(sinh(x)) for x > 0 without overflow."""
+    return x + np.log1p(-np.exp(-2.0 * x)) - math.log(2.0)
+
+
+def troesch_endpoints(lam: float) -> Tuple[float, float]:
+    """(u2(0), u2(1)) of Troesch's problem from its first integral,
+    independent of the solver.
+
+    Multiplying u'' = lam*sinh(lam*u) by u' and integrating gives
+    u2**2 = s**2 + 4*sinh(lam*u1/2)**2 with s = u2(0), so
+    u2(1) = sqrt(s**2 + 4*sinh(lam/2)**2), and s is fixed by t(u1 = 1) = 1.
+    Substituting sinh(lam*u1/2) = (s/2)*sinh(v) turns that condition into
+
+        lam = integral_0^V dv / sqrt(1 + ((s/2)*sinh v)**2),
+        V = asinh(sinh(lam/2) / (s/2)),
+
+    whose integrand is smooth.  Composite Gauss-Legendre evaluates it in
+    log space, and bisection on log s finds the root to the last bit.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    half_lam = float(_log_sinh(lam / 2.0))        # log(sinh(lam/2))
+
+    def excess(log_s):
+        log_half = log_s - math.log(2.0)
+        x = half_lam - log_half                   # log(sinh(lam/2)/(s/2))
+        top = math.asinh(math.exp(x)) if x < 30 else x + math.log(2.0)
+        edges = np.linspace(0.0, top, 257)
+        rad = 0.5 * np.diff(edges)[:, None]
+        v = 0.5 * (edges[1:] + edges[:-1])[:, None] + rad * nodes
+        with np.errstate(over="ignore"):
+            f = 1.0 / np.sqrt(1.0 + np.exp(2.0 * (log_half + _log_sinh(v))))
+        return float(np.sum(rad * weights * f)) - lam
+
+    # excess is positive at lo and negative at hi
+    lo, hi = math.log(1e-300), math.log(10.0 * lam)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if excess(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    s = math.exp(mid)
+    return s, math.hypot(s, 2.0 * math.exp(half_lam))
 
 
 def linear_verification() -> ProblemSpec:
@@ -97,7 +154,10 @@ def linear_verification() -> ProblemSpec:
                          u[0] * np.ones_like(np.asarray(t, dtype=float))])
 
     def jac(u, t):
-        return np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        out = np.zeros((2, 3) + np.shape(u[0]))
+        out[0, 1] = 1.0
+        out[1, 0] = 1.0
+        return out
 
     system = OdeSystem(2, rhs, jac=jac, name="linear-verification")
 

@@ -91,7 +91,8 @@ class NaturalState:
 def swap_system(system: OdeSystem, k: int) -> OdeSystem:
     """Apply the k-swap operator; the result's independent variable is the
     original k-th component.  Evaluating where F_k = 0 raises
-    EvaluationError (the swap is invalid there)."""
+    EvaluationError (the swap is invalid there).  The result has a ``jac``,
+    composed by the chain rule, when ``system`` has one."""
     if not (1 <= k <= system.n):
         raise ValueError(f"swap index {k} outside 1..{system.n}")
     ki = k - 1
@@ -109,13 +110,36 @@ def swap_system(system: OdeSystem, k: int) -> OdeSystem:
         out[ki] = 1.0 / fk
         return out
 
-    return OdeSystem(system.n, rhs, params=system.params,
+    # columns of [dF/du | dF/dt] in the swapped variables: position k now
+    # holds the old t, the independent variable the old u_k
+    perm = list(range(system.n + 1))
+    perm[ki], perm[system.n] = system.n, ki
+
+    def jac(v, u):
+        v = np.asarray(v, dtype=float)
+        args = v.copy()
+        args[ki] = u
+        f = np.asarray(system.rhs(args, v[ki]), dtype=float)
+        fk = f[ki]
+        if np.any(fk == 0.0):
+            raise EvaluationError(
+                f"swap denominator F_{k} vanished", component=k)
+        df = np.asarray(system.jac(args, v[ki]), dtype=float)[:, perm]
+        # G_j = F_j / F_k for j != k, G_k = 1 / F_k
+        out = (df - (f / fk)[:, None] * df[ki]) / fk
+        out[ki] = -df[ki] / fk / fk
+        return out
+
+    return OdeSystem(system.n, rhs,
+                     jac=jac if system.jac is not None else None,
+                     params=system.params,
                      name=f"SP{k}({system.name or '?'})")
 
 
 def flip_system(system: OdeSystem, l: int) -> OdeSystem:
     """Apply the l-flip operator (u_l -> 1/w_l).  Evaluating at w_l = 0
-    raises EvaluationError."""
+    raises EvaluationError.  The result has a ``jac``, composed by the
+    chain rule, when ``system`` has one."""
     if not (1 <= l <= system.n):
         raise ValueError(f"flip index {l} outside 1..{system.n}")
     li = l - 1
@@ -133,7 +157,24 @@ def flip_system(system: OdeSystem, l: int) -> OdeSystem:
         out[li] = -f[li] * wl * wl
         return out
 
-    return OdeSystem(system.n, rhs, params=system.params,
+    def jac(w, t):
+        w = np.asarray(w, dtype=float)
+        wl = w[li]
+        if np.any(wl == 0.0):
+            raise EvaluationError(
+                f"flip component w_{l} vanished", component=l)
+        args = w.copy()
+        args[li] = 1.0 / wl
+        f = np.asarray(system.rhs(args, t), dtype=float)
+        out = np.array(system.jac(args, t), dtype=float)
+        out[:, li] *= -args[li] * args[li]      # d(1/w_l)/dw_l
+        out[li] *= -wl * wl                     # H_l = -F_l * w_l**2
+        out[li, li] -= 2.0 * f[li] * wl
+        return out
+
+    return OdeSystem(system.n, rhs,
+                     jac=jac if system.jac is not None else None,
+                     params=system.params,
                      name=f"FP{l}({system.name or '?'})")
 
 
@@ -197,3 +238,25 @@ def unmap_state(transform: Transform, q, tau):
     if t.ndim == 0:
         t = float(t)
     return u, t
+
+
+def state_jacobian(transform: Transform, x):
+    """Jacobian of map_state at (x, s) with respect to (x, s).
+
+    The map acts on the extended state (x, s) as reciprocals of the flipped
+    components plus, for a swap, an exchange of x_k with s; it does not
+    depend on s.  Both parts are involutions on disjoint coordinates, so
+    unmap_state is the same map and this is also its Jacobian at natural
+    variables (x, s).  Shape (n+1, n+1), or (n+1, n+1, B) for a batch x of
+    shape (n, B).
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    out = np.zeros((n + 1, n + 1) + x.shape[1:])
+    for j in range(n + 1):
+        out[j, j] = 1.0
+    for l in transform.flips:
+        out[l - 1, l - 1] = -1.0 / x[l - 1] ** 2
+    if transform.swap is not None:
+        out[[transform.swap - 1, n]] = out[[n, transform.swap - 1]]
+    return out

@@ -25,8 +25,14 @@ from .errors import (ConfigError, DomainError, EvaluationError,
                      SingularLinearSystem, SingularStepError)
 from .mesh import (EvolvingMesh, RefinementConfig, _transform_groups,
                    normalize, refine)
-from .ode_system import BoundaryConditions, OdeSystem, eval_rhs_batch
-from .transform import Transform, apply, map_state, unmap_state
+from .ode_system import (BoundaryConditions, OdeSystem, eval_jacobian_batch,
+                         eval_rhs_batch)
+from .transform import (Transform, apply, map_state, state_jacobian,
+                        unmap_state)
+
+# knots per batched Jacobian evaluation: bounds the temporaries of the
+# composed swap/flip Jacobians on large meshes
+_JAC_CHUNK = 32768
 
 
 @dataclass
@@ -200,6 +206,22 @@ class _Sweep:
             T[idx] = t
         return U, T
 
+    def switch_states(self, QL: np.ndarray):
+        """Left knots at transform switches, re-expressed in their interval's
+        variables: (owner, transform, interval indices, u, t, NaturalState)
+        per switch pair, with (u, t) the original variables in between."""
+        for owner, tr, idx in self.diff_pairs:
+            u, t = unmap_state(owner, QL[idx].T, self.tau[idx])
+            yield owner, tr, idx, u, t, map_state(tr, u, t)
+
+    def natural_steps(self, tauL: np.ndarray) -> np.ndarray:
+        """tau_{i+1} - tau_i per interval from the left-knot taus."""
+        dtau = self.tau[1:] - tauL
+        if np.any(dtau == 0.0):
+            raise SingularStepError(
+                f"zero natural step on interval {int(np.argmax(dtau == 0.0))}")
+        return dtau
+
     def interval_residual(self, QL: np.ndarray, QR: np.ndarray) -> np.ndarray:
         """Residuals of all interval equations, shape (m, n).
 
@@ -210,21 +232,15 @@ class _Sweep:
         """
         qL = QL.copy()
         tauL = self.tau[:-1].copy()
-        for owner, tr, idx in self.diff_pairs:
-            u, t = unmap_state(owner, QL[idx].T, self.tau[idx])
-            s = map_state(tr, u, t)
+        for *_, idx, _, _, s in self.switch_states(QL):
             qL[idx] = s.q.T
             tauL[idx] = s.tau
+        dtau = self.natural_steps(tauL)
         out = np.empty((self.m, self.n))
         for tr, idx in self.groups:
-            dtau = self.tau[idx + 1] - tauL[idx]
-            if np.any(dtau == 0.0):
-                j = int(idx[np.argmax(dtau == 0.0)])
-                raise SingularStepError(
-                    f"zero natural step on interval {j}")
             fL = eval_rhs_batch(self.tsys[tr], qL[idx].T, tauL[idx])
             fR = eval_rhs_batch(self.tsys[tr], QR[idx].T, self.tau[idx + 1])
-            out[idx] = ((QR[idx] - qL[idx]) / dtau[:, None]
+            out[idx] = ((QR[idx] - qL[idx]) / dtau[idx, None]
                         - 0.5 * (fL + fR).T)
         return out
 
@@ -250,41 +266,80 @@ class _Sweep:
 
     # -- Jacobian ---------------------------------------------------------
 
-    def blocks(self, Q: np.ndarray) -> BlockJacobian:
-        """Central-difference block Jacobian at the iterate Q.
+    def system_jacobian(self, tr: Transform, X: np.ndarray, T: np.ndarray,
+                        near: Optional[np.ndarray] = None) -> np.ndarray:
+        """[G_q | G_tau] of the transformed system at natural points (X, T),
+        shape (n, n+1, B), evaluated in chunks of _JAC_CHUNK points.
 
-        Steps follow the interval's own coordinate scale (max magnitude of
-        the column at either knot), never an absolute unit scale: deep in a
-        boundary layer the natural coordinates can span hundreds of orders
-        of magnitude and a unit-scaled step would wipe them out.
+        Without an analytic ``jac`` the rhs is differenced per point with
+        steps scaled by the point's coordinates and those of ``near`` (its
+        neighbours in the batch by default), never by an absolute unit:
+        deep in a boundary layer the natural coordinates can span hundreds
+        of orders of magnitude and a unit-scaled step would wipe them out.
         """
-        QL, QR = Q[:-1], Q[1:]
-        n = self.n
-        rel = self.backend.fd_rel_step
-        A = np.empty((self.m, n, n))
-        B = np.empty((self.m, n, n))
+        tsys = self.tsys[tr]
+        out = np.empty((self.n, self.n + 1, len(T)))
+        for start in range(0, len(T), _JAC_CHUNK):
+            part = slice(start, start + _JAC_CHUNK)
+            scale = None
+            if tsys.jac is None and near is not None:
+                scale = np.maximum(np.abs(near[:, part]), 1e-240)
+            elif tsys.jac is None:
+                Z = np.abs(np.vstack([X[:, part], T[part]]))
+                scale = Z.copy()
+                scale[:, 1:] = np.maximum(Z[:, 1:], Z[:, :-1])
+                scale[:, :-1] = np.maximum(scale[:, :-1], Z[:, 1:])
+                scale = np.maximum(scale, 1e-240)
+            out[..., part] = eval_jacobian_batch(
+                tsys, X[:, part], T[part], scale, self.backend)
+        return out
 
-        def left_diff(j, h):
-            Qp, Qm = QL.copy(), QL.copy()
-            Qp[:, j] += h
-            Qm[:, j] -= h
-            return (self.interval_residual(Qp, QR)
-                    - self.interval_residual(Qm, QR)) / (2 * h[:, None])
+    def blocks(self, Q: np.ndarray) -> BlockJacobian:
+        """Block Jacobian at the iterate Q from the transformed systems'
+        Jacobians [G_q | G_tau], evaluated once per knot per zone.
 
-        def right_diff(j, h):
-            Qp, Qm = QR.copy(), QR.copy()
-            Qp[:, j] += h
-            Qm[:, j] -= h
-            return (self.interval_residual(QL, Qp)
-                    - self.interval_residual(QL, Qm)) / (2 * h[:, None])
-
-        for j in range(n):
-            scale = np.maximum(np.abs(QL[:, j]), np.abs(QR[:, j]))
-            h = rel * np.maximum(scale, 1e-240)
-            # Richardson extrapolation: higher derivatives grow sharply at
-            # zone switches and a single central difference is not enough
-            A[:, :, j] = (4.0 * left_diff(j, 0.5 * h) - left_diff(j, h)) / 3.0
-            B[:, :, j] = (4.0 * right_diff(j, 0.5 * h) - right_diff(j, h)) / 3.0
+        Interval i reads A[i] = -I/dtau - G_q(knot i)/2 and
+        B[i] = I/dtau - G_q(knot i+1)/2.  At a transform switch the left
+        knot's natural (q_L, tau_L) = phi(Q_L) go through map(unmap(.)),
+        so A[i] = [dr/dq_L | dr/dtau_L] @ dphi/dQ_L by the chain rule.
+        """
+        n, m = self.n, self.m
+        switches = list(self.switch_states(Q[:-1]))
+        tauL = self.tau[:-1].copy()
+        is_switch = np.zeros(m, dtype=bool)
+        for *_, idx, _, _, s in switches:
+            tauL[idx] = s.tau
+            is_switch[idx] = True
+        inv = 1.0 / self.natural_steps(tauL)
+        A = np.empty((m, n, n))
+        B = np.empty((m, n, n))
+        for tr, idx in self.groups:
+            # every knot of the zone once; switch knots hold another zone's
+            # coordinates and are handled below
+            left = idx[~is_switch[idx]]
+            used = np.zeros(m + 1, dtype=bool)
+            used[left] = True
+            used[idx + 1] = True
+            knots = np.flatnonzero(used)
+            pos = np.cumsum(used) - 1           # knot -> row in `knots`
+            G = -0.5 * np.moveaxis(self.system_jacobian(
+                tr, Q[knots].T, self.tau[knots])[:, :n], -1, 0)
+            A[left] = G[pos[left]]
+            B[idx] = G[pos[idx + 1]]
+        diag = np.arange(n)
+        A[:, diag, diag] -= inv[:, None]
+        B[:, diag, diag] += inv[:, None]
+        for owner, tr, idx, u, t, s in switches:
+            qR, tauR = Q[idx + 1], self.tau[idx + 1]
+            near = np.vstack([qR.T, tauR])
+            dr = -0.5 * np.moveaxis(
+                self.system_jacobian(tr, s.q, s.tau, near), -1, 0)
+            dr[:, diag, diag] -= inv[idx, None]
+            dr[:, :, n] += (qR - s.q.T) * inv[idx, None] ** 2
+            dphi = np.einsum("ijb,jkb->bik", state_jacobian(tr, u),
+                             state_jacobian(owner, Q[idx].T))
+            A[idx] = dr @ dphi[:, :, :n]
+        # boundary rows: O(n**2) Richardson differences of bc_residual
         C = np.empty((n, n))
         D = np.empty((n, n))
 

@@ -1,6 +1,7 @@
 """Continuation protocol, error curves and CSV round trips."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -81,6 +82,43 @@ def test_oracle_matches_energy_reference():
     assert rel_err(d1, ENERGY_REFS[3.0][1]) < 1e-5
     # chain is cached: a second call must not recompute
     assert oracle.solution(3.0, 1e-3) is oracle.solution(3.0, 1e-3)
+
+
+def test_accuracy_stop_never_resolves_troesch(monkeypatch):
+    # troesch's first-integral reference replaces the oracle's re-solves
+    def solution(self, lam, h_ref):
+        raise AssertionError("oracle re-solve")
+
+    monkeypatch.setattr(ContinuationOracle, "solution", solution)
+    result = run_continuation(troesch, SrnConfig(h0=0.1))
+    assert result.stop_reason is StopCriterion.ACCURACY
+    assert result.srn == 5.0
+
+
+def test_oracle_is_the_fallback_without_reference_fn(monkeypatch):
+    family = lambda lam: dataclasses.replace(troesch(lam), reference_fn=None)
+    asked = []
+
+    def endpoints(self, lam, h_ref):
+        asked.append(lam)
+        return troesch(lam).reference_fn()
+
+    monkeypatch.setattr(ContinuationOracle, "endpoints", endpoints)
+    cfg = SrnConfig(h0=0.1, lambda_cap=4.0)
+    result = run_continuation(family, cfg)
+    assert asked == [3.0, 4.0]
+    assert result.per_lambda == run_continuation(troesch, cfg).per_lambda
+
+
+def test_convergence_stop_computes_no_reference():
+    def refuse():
+        raise AssertionError("reference computed without an oracle")
+
+    family = lambda lam: dataclasses.replace(troesch(lam), reference_fn=refuse)
+    cfg = SrnConfig(h0=0.1, lambda_cap=4.0, stop=StopCriterion.CONVERGENCE)
+    out = run_continuation(family, cfg)
+    assert out.srn == 4.0
+    assert math.isnan(out.per_lambda[0]["rel_err_u2_0"])
 
 
 def test_error_curve_rows_and_failures():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from stiffbvp import (EvaluationError, FLOAT64, LONGDOUBLE, OdeSystem,
-                      eval_jacobian, eval_rhs, eval_rhs_batch, fd_jacobian,
-                      from_second_order, troesch)
+                      eval_jacobian, eval_jacobian_batch, eval_rhs,
+                      eval_rhs_batch, fd_jacobian, from_second_order,
+                      linear_verification, troesch)
 
 
 def test_troesch_rhs_values():
@@ -99,6 +100,46 @@ def test_jac_shape_validation():
                        jac=lambda u, t: np.zeros((2, 2)))
     with pytest.raises(EvaluationError):
         eval_jacobian(system, [0.0, 0.0], 0.0)
+
+
+@pytest.mark.parametrize("spec", [troesch(3.0), linear_verification()],
+                         ids=["troesch", "linear"])
+def test_catalog_jacobian_is_batch_safe(spec):
+    rng = np.random.default_rng(8)
+    U = rng.uniform(-1, 1, size=(2, 6))
+    T = rng.uniform(0, 1, size=6)
+    batch = spec.system.jac(U, T)
+    assert batch.shape == (2, 3, 6)
+    for b in range(6):
+        np.testing.assert_array_equal(batch[..., b],
+                                      eval_jacobian(spec.system, U[:, b], T[b]))
+
+
+def test_batch_jacobian_fd_matches_analytic():
+    lam = 3.0
+    system = troesch(lam).system
+    plain = from_second_order(lambda up, u, t: lam * np.sinh(lam * u))
+    rng = np.random.default_rng(9)
+    U = rng.uniform(-1, 1, size=(2, 12))
+    T = rng.uniform(0, 1, size=12)
+    J_fd = eval_jacobian_batch(plain, U, T)
+    np.testing.assert_allclose(J_fd, eval_jacobian_batch(system, U, T),
+                               rtol=1e-8, atol=1e-8)
+    # steps follow the given coordinate scale, not a unit floor
+    tiny = 1e-30 * np.ones((3, 12))
+    np.testing.assert_allclose(eval_jacobian_batch(plain, U * 1e-20, T, tiny),
+                               eval_jacobian_batch(system, U * 1e-20, T),
+                               rtol=1e-8, atol=1e-8)
+
+
+def test_batch_jacobian_validation():
+    bad_shape = OdeSystem(2, lambda u, t: u,
+                          jac=lambda u, t: np.zeros((2, 3)))
+    U = np.ones((2, 4))
+    with pytest.raises(EvaluationError):
+        eval_jacobian_batch(bad_shape, U, np.zeros(4))
+    with pytest.raises(EvaluationError):
+        eval_jacobian_batch(troesch(3.0).system, 1e3 * U, np.zeros(4))
 
 
 def test_with_params_rebuilds():

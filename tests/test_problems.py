@@ -7,7 +7,8 @@ import pytest
 
 from stiffbvp import (ConfigError, IdentityStrategy, NewtonConfig,
                       eval_rhs, linear_verification, problem_by_name,
-                      reference_lookup, solve_spec, troesch, uniform_mesh)
+                      reference_lookup, solve_spec, troesch,
+                      troesch_endpoints, uniform_mesh)
 from stiffbvp.problems import _TROESCH_REFERENCE, export_reference
 
 from conftest import ENERGY_REFS, rel_err
@@ -84,6 +85,27 @@ def test_reference_lookup():
     assert reference_lookup(None, 50.0) is None
     # one-sided entries keep a None slot
     assert reference_lookup(table, 300.0) == (None, 1.39370958072e65)
+
+
+@pytest.mark.parametrize("lam", sorted(ENERGY_REFS))
+def test_first_integral_reference_matches_energy_refs(lam):
+    got = troesch_endpoints(lam)
+    for value, ref in zip(got, ENERGY_REFS[lam]):
+        assert rel_err(value, ref) <= 1e-14
+
+
+def test_first_integral_reference_matches_table():
+    # the table carries about 10 significant digits
+    for lam, (u2_0, u2_1, _) in _TROESCH_REFERENCE.entries.items():
+        got = troesch_endpoints(lam)
+        for value, ref in zip(got, (u2_0, u2_1)):
+            if ref is not None:
+                assert rel_err(value, ref) <= 5e-10
+
+
+def test_troesch_supplies_reference_fn():
+    assert troesch(4.0).reference_fn() == troesch_endpoints(4.0)
+    assert linear_verification().reference_fn is None
 
 
 def test_export_reference(tmp_path):

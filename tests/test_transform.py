@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiffbvp import (DomainError, EvaluationError, IDENTITY, OdeSystem,
-                      Transform, apply, flip_system, map_state, swap_system,
+                      Transform, apply, eval_jacobian, fd_jacobian,
+                      flip_system, map_state, state_jacobian, swap_system,
                       troesch, unmap_state)
 
 RNG = np.random.default_rng(1234)
@@ -193,6 +194,84 @@ def test_bad_indices_rejected():
         swap_system(system, 3)
     with pytest.raises(ValueError):
         flip_system(system, 0)
+
+
+# -- composed Jacobians ---------------------------------------------------
+
+# every transform the strategies emit
+STRATEGY_TRANSFORMS = ("I", "SP1", "SP2", "FP2", "SP1.FP2")
+
+
+def _troesch_states(count):
+    """Random states away from the zeros of u1 and u2, where the swaps and
+    the flip are invalid."""
+    size = (2, count)
+    return (RNG.uniform(0.05, 1.5, size=size) * RNG.choice([-1.0, 1.0], size),
+            RNG.uniform(0.0, 1.0, size=count))
+
+
+@pytest.mark.parametrize("label", STRATEGY_TRANSFORMS)
+def test_composed_jacobian_matches_fd(label):
+    tsys = apply(Transform.parse(label), troesch(5.0).system)
+    assert tsys.jac is not None
+    X, T = _troesch_states(50)
+    for b in range(X.shape[1]):
+        J = eval_jacobian(tsys, X[:, b], T[b])
+        J_fd = fd_jacobian(tsys, X[:, b], T[b])
+        scale = np.maximum(np.abs(J_fd), np.max(np.abs(J_fd)) * 1e-6)
+        assert np.max(np.abs(J - J_fd) / scale) <= 1e-6
+
+
+@pytest.mark.parametrize("label", STRATEGY_TRANSFORMS)
+def test_composed_jacobian_batch_matches_pointwise(label):
+    tsys = apply(Transform.parse(label), troesch(5.0).system)
+    X, T = _troesch_states(9)
+    batch = tsys.jac(X, T)
+    assert batch.shape == (2, 3, 9)
+    for b in range(9):
+        np.testing.assert_array_equal(batch[..., b], tsys.jac(X[:, b], T[b]))
+
+
+def test_composed_jacobian_needs_inner_jacobian():
+    system = _quadratic_system()
+    assert apply(Transform(swap=1, flips={2}), system).jac is None
+
+
+def test_swap_jacobian_zero_denominator_raises():
+    system = OdeSystem(2, lambda u, t: np.array([0.0, 1.0]),
+                       jac=lambda u, t: np.zeros((2, 3)))
+    with pytest.raises(EvaluationError):
+        swap_system(system, 1).jac(np.array([0.5, 0.5]), 0.0)
+
+
+def test_flip_jacobian_zero_component_raises():
+    system = troesch(2.0).system
+    with pytest.raises(EvaluationError):
+        flip_system(system, 2).jac(np.array([1.0, 0.0]), 0.0)
+    X = np.array([[1.0, 0.5], [2.0, 0.0]])
+    with pytest.raises(EvaluationError):
+        flip_system(system, 2).jac(X, np.zeros(2))
+
+
+@pytest.mark.parametrize("label", STRATEGY_TRANSFORMS)
+def test_state_jacobian_matches_fd(label):
+    tr = Transform.parse(label)
+    X, T = _troesch_states(5)
+    batch = state_jacobian(tr, X)
+    for b in range(5):
+        z = np.append(X[:, b], T[b])
+        J_fd = np.empty((3, 3))
+        for j in range(3):
+            h = 1e-6 * abs(z[j])
+            zp, zm = z.copy(), z.copy()
+            zp[j] += h
+            zm[j] -= h
+            sp, sm = map_state(tr, zp[:2], zp[2]), map_state(tr, zm[:2], zm[2])
+            J_fd[:, j] = (np.append(sp.q, sp.tau)
+                          - np.append(sm.q, sm.tau)) / (zp[j] - zm[j])
+        np.testing.assert_allclose(batch[..., b], J_fd, rtol=1e-8, atol=1e-12)
+        np.testing.assert_array_equal(state_jacobian(tr, X[:, b]),
+                                      batch[..., b])
 
 
 # -- state mapping --------------------------------------------------------

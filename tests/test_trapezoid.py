@@ -7,11 +7,12 @@ from stiffbvp import (BoundaryConditions, ConfigError, EvolvingMesh,
                       IdentityStrategy, NewtonConfig, NonStationaryBoundary,
                       OdeSystem, SegmentedProblem, SingularLinearSystem,
                       Transform, assemble_jacobian, assemble_residual,
-                      linear_verification, newton_solve, solve_linear_block,
-                      solve_spec, troesch, uniform_mesh)
+                      from_second_order, linear_verification, newton_solve,
+                      solve_linear_block, solve_spec, troesch, uniform_mesh)
+from stiffbvp import trapezoid
 from stiffbvp.mesh import init_linear
-from stiffbvp.trapezoid import (BlockJacobian, anchor_pins,
-                                check_boundary_transforms)
+from stiffbvp.trapezoid import (BlockJacobian, _Sweep, _zone_summary,
+                                anchor_pins, check_boundary_transforms)
 
 from conftest import ENERGY_REFS
 
@@ -107,6 +108,73 @@ def test_jacobian_matches_fd_transformed_mesh():
     J = assemble_jacobian(problem).todense()
     J_fd = _fd_dense_jacobian(problem)
     np.testing.assert_allclose(J, J_fd, rtol=1e-5, atol=1e-6)
+
+
+def _three_zone_problem(system=None, lam=6.0):
+    """Converged identity knots re-tagged I, SP2, SP1.FP2: two switches."""
+    spec = troesch(lam)
+    sol = solve_spec(spec, uniform_mesh(spec, 0.1), IdentityStrategy())
+    labels = ["I"] * 4 + ["SP2"] * 3 + ["SP1.FP2"] * 3
+    mesh = sol.mesh.with_transforms([Transform.parse(l) for l in labels])
+    return SegmentedProblem(system or spec.system, spec.bc, mesh, (0.0, 1.0))
+
+
+def test_jacobian_matches_fd_three_zone_mesh():
+    problem = _three_zone_problem()
+    J = assemble_jacobian(problem).todense()
+    np.testing.assert_allclose(J, _fd_dense_jacobian(problem),
+                               rtol=1e-5, atol=1e-6)
+
+
+def test_jacobian_without_analytic_jac_matches_fd():
+    # rhs differences per knot feed the same assembly as an analytic jac
+    lam = 6.0
+    plain = from_second_order(lambda up, u, t: lam * np.sinh(lam * u))
+    assert plain.jac is None
+    problem = _three_zone_problem(plain, lam)
+    J = assemble_jacobian(problem).todense()
+    np.testing.assert_allclose(J, _fd_dense_jacobian(problem),
+                               rtol=1e-5, atol=1e-6)
+    analytic = assemble_jacobian(_three_zone_problem(lam=lam)).todense()
+    np.testing.assert_allclose(J, analytic, rtol=1e-7, atol=1e-7)
+
+
+def test_jacobian_work_count(monkeypatch):
+    # the blocks come from one batched jac call per zone and switch pair
+    # and chunk, never from residual passes
+    spec = troesch(6.0)
+    calls = {"jac": 0, "residual": 0}
+
+    def jac(u, t):
+        calls["jac"] += 1
+        return spec.system.jac(u, t)
+
+    counted = OdeSystem(2, spec.system.rhs, jac=jac)
+    problem = _three_zone_problem(counted)
+    residual = _Sweep.interval_residual
+
+    def interval_residual(self, QL, QR):
+        calls["residual"] += 1
+        return residual(self, QL, QR)
+
+    monkeypatch.setattr(_Sweep, "interval_residual", interval_residual)
+    monkeypatch.setattr(trapezoid, "_JAC_CHUNK", 4)
+    assemble_jacobian(problem)
+    zones = len(_zone_summary(problem.mesh.transforms))
+    switch_pairs = len(_Sweep(problem).diff_pairs)
+    chunks = -(-problem.mesh.knot_count // 4)
+    assert calls["residual"] == 0
+    assert 0 < calls["jac"] <= (zones + switch_pairs) * chunks
+
+
+def test_jacobian_independent_of_chunking(monkeypatch):
+    problem = _three_zone_problem()
+    whole = assemble_jacobian(problem)
+    monkeypatch.setattr(trapezoid, "_JAC_CHUNK", 3)
+    chunked = assemble_jacobian(problem)
+    for name in "ABCD":
+        np.testing.assert_array_equal(getattr(chunked, name),
+                                      getattr(whole, name))
 
 
 def test_linear_system_has_constant_jacobian():
