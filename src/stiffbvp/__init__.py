@@ -7,7 +7,6 @@ by its reciprocal.  Suitable transformation assignments suppress the
 stiffness of boundary-layer problems such as Troesch's equation.
 """
 
-from .backend import DEFAULT_BACKEND, FLOAT64, LONGDOUBLE, ScalarBackend
 from .bench import (ContinuationOracle, SrnConfig, SrnResult, StopCriterion,
                     endpoint_derivatives, error_curve, export_solution,
                     import_solution, run_continuation, solve_spec,
@@ -17,7 +16,7 @@ from .errors import (ColdStartFailure, ConfigError, DomainError,
                      NonStationaryBoundary, RefinementError,
                      SingularLinearSystem, SingularStepError, StiffBvpError,
                      StrategyError)
-from .mesh import (EvolvingMesh, Knot, RefinementConfig, init_linear,
+from .mesh import (EvolvingMesh, RefinementConfig, init_linear, merge_runs,
                    normalize, refine)
 from .ode_system import (BoundaryConditions, OdeSystem, eval_jacobian,
                          eval_jacobian_batch, eval_rhs, eval_rhs_batch,

@@ -18,9 +18,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .backend import DEFAULT_BACKEND, ScalarBackend
 from .errors import ColdStartFailure, ConfigError, StiffBvpError
-from .mesh import EvolvingMesh, RefinementConfig, init_linear
+from .mesh import EvolvingMesh, RefinementConfig, init_linear, merge_runs
 from .problems import ProblemSpec, reference_lookup
 from .strategy import (IdentityStrategy, SteepGrowthZoneStrategy,
                        TransformStrategy)
@@ -75,11 +74,9 @@ def uniform_mesh(spec: ProblemSpec, h: float) -> EvolvingMesh:
 def solve_spec(spec: ProblemSpec, mesh: EvolvingMesh,
                strategy: Optional[TransformStrategy] = None,
                newton: NewtonConfig = NewtonConfig(),
-               rcfg: Optional[RefinementConfig] = None,
-               backend: ScalarBackend = DEFAULT_BACKEND) -> Solution:
+               rcfg: Optional[RefinementConfig] = None) -> Solution:
     problem = SegmentedProblem(spec.system, spec.bc, mesh, spec.domain)
-    return newton_solve(problem, newton, rcfg, strategy=strategy,
-                        backend=backend)
+    return newton_solve(problem, newton, rcfg, strategy=strategy)
 
 
 def endpoint_derivatives(sol: Solution):
@@ -304,16 +301,18 @@ def export_solution(solution: Solution, path):
     """
     mesh = solution.mesh
     n = mesh.n
+    labels = []
+    for tr, s, e in mesh.zones:
+        labels += [tr.label()] * (e - s)
+    labels.append(labels[-1])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"u{j + 1}" for j in range(n)]
                         + ["transform"])
-        m = mesh.interval_count
         for i in range(mesh.knot_count):
-            tr = mesh.transforms[min(i, m - 1)]
             writer.writerow(["%.17g" % mesh.T[i]]
                             + ["%.17g" % v for v in mesh.U[i]]
-                            + [tr.label()])
+                            + [labels[i]])
 
 
 def import_solution(path) -> EvolvingMesh:
@@ -327,5 +326,6 @@ def import_solution(path) -> EvolvingMesh:
             T_vals.append(float(row[0]))
             U_rows.append([float(v) for v in row[1:1 + n]])
             labels.append(row[1 + n])
-    transforms = [Transform.parse(lbl) for lbl in labels[:-1]]
-    return EvolvingMesh(np.array(U_rows), np.array(T_vals), transforms)
+    zones = merge_runs((Transform.parse(lbl), i, i + 1)
+                       for i, lbl in enumerate(labels[:-1]))
+    return EvolvingMesh(np.array(U_rows), np.array(T_vals), zones)

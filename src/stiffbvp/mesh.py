@@ -1,17 +1,17 @@
-"""Evolving mesh of (u, t) knots with per-interval transforms.
+"""Evolving mesh of (u, t) knots with zones of interval transforms.
 
 The mesh is the iterative-solver view of a classical mesh: each knot
 carries the full current approximation, and each interval between
-consecutive knots is tagged with the transformation under which its
-trapezoidal equation is written.  Refinement and zigzag/condensation
-repair act on natural steps, i.e. steps measured in each interval's own
-independent variable.
+consecutive knots belongs to a zone, a contiguous run of intervals whose
+trapezoidal equations are written under the same transformation.
+Refinement and zigzag/condensation repair act on natural steps, i.e. steps
+measured in each interval's own independent variable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -19,33 +19,45 @@ from .errors import ConfigError, MeshError, RefinementError
 from .ode_system import OdeSystem, eval_rhs_batch
 from .transform import IDENTITY, Transform, apply, map_state
 
-
-@dataclass(frozen=True)
-class Knot:
-    u: np.ndarray
-    t: float
+# (transform, start, stop): intervals start..stop-1 use the transform
+Zone = Tuple[Transform, int, int]
 
 
 @dataclass
 class EvolvingMesh:
-    """Ordered knots (U row per knot, matching T entry) plus one transform
-    per interval.  Value-semantic: operations return new meshes."""
+    """Ordered knots (U row per knot, matching T entry) plus the zones of
+    interval transforms.  Value-semantic: operations return new meshes.
+
+    ``zones`` is a sequence of (transform, start, stop) runs that cover
+    intervals 0..m-1 in order; each run is non-empty and its neighbours
+    carry different transforms.  The default is one identity zone.
+    """
 
     U: np.ndarray                       # (m+1, n)
     T: np.ndarray                       # (m+1,)
-    transforms: List[Transform] = field(default_factory=list)
+    zones: Optional[Tuple[Zone, ...]] = None
 
     def __post_init__(self):
         self.U = np.atleast_2d(np.asarray(self.U, dtype=float))
         self.T = np.asarray(self.T, dtype=float)
         if len(self.T) != self.U.shape[0]:
             raise ConfigError("knot count mismatch between U and T")
-        if not self.transforms:
-            self.transforms = [IDENTITY] * (len(self.T) - 1)
-        if len(self.transforms) != len(self.T) - 1:
-            raise ConfigError(
-                f"{len(self.transforms)} transforms for "
-                f"{len(self.T)} knots (need knots - 1)")
+        m = len(self.T) - 1
+        if self.zones is None:
+            self.zones = ((IDENTITY, 0, m),)
+        self.zones = tuple((tr, int(s), int(e)) for tr, s, e in self.zones)
+        stop = 0
+        for k, (tr, s, e) in enumerate(self.zones):
+            if s != stop or e <= s:
+                raise ConfigError(
+                    f"zone {k} covers intervals {s}..{e - 1}, expected a "
+                    f"non-empty run starting at {stop}")
+            if k and tr == self.zones[k - 1][0]:
+                raise ConfigError(
+                    f"zones {k - 1} and {k} carry the same transform")
+            stop = e
+        if stop != m:
+            raise ConfigError(f"zones cover {stop} of {m} intervals")
 
     @property
     def n(self) -> int:
@@ -59,16 +71,8 @@ class EvolvingMesh:
     def interval_count(self) -> int:
         return len(self.T) - 1
 
-    @property
-    def knots(self) -> List[Knot]:
-        return [Knot(u=self.U[i].copy(), t=float(self.T[i]))
-                for i in range(len(self.T))]
-
     def copy(self) -> "EvolvingMesh":
-        return EvolvingMesh(self.U.copy(), self.T.copy(), list(self.transforms))
-
-    def with_transforms(self, transforms: Sequence[Transform]) -> "EvolvingMesh":
-        return EvolvingMesh(self.U.copy(), self.T.copy(), list(transforms))
+        return EvolvingMesh(self.U.copy(), self.T.copy(), self.zones)
 
     def natural_steps(self, signed: bool = False) -> np.ndarray:
         """tau_{i+1} - tau_i per interval, in each interval's own variable.
@@ -77,12 +81,33 @@ class EvolvingMesh:
         (inverted intervals show up as sign flips within a zone).
         """
         out = np.empty(self.interval_count)
-        for tr, idx in _transform_groups(self.transforms).items():
-            idx = np.asarray(idx)
-            sL = map_state(tr, self.U[idx].T, self.T[idx])
-            sR = map_state(tr, self.U[idx + 1].T, self.T[idx + 1])
-            out[idx] = np.asarray(sR.tau) - np.asarray(sL.tau)
+        for tr, s, e in self.zones:
+            tau = map_state(tr, self.U[s:e + 1].T, self.T[s:e + 1]).tau
+            out[s:e] = np.diff(tau)
         return out if signed else np.abs(out)
+
+
+def merge_runs(runs: Iterable[Zone]) -> Tuple[Zone, ...]:
+    """Zones from consecutive (transform, start, stop) runs: neighbours
+    with equal transforms merge into one zone."""
+    out = []
+    for tr, s, e in runs:
+        if out and out[-1][0] == tr:
+            out[-1] = (tr, out[-1][1], e)
+        else:
+            out.append((tr, s, e))
+    return tuple(out)
+
+
+def _inherit_zones(zones: Tuple[Zone, ...],
+                   parent: np.ndarray) -> Tuple[Zone, ...]:
+    """Zones of a re-indexed mesh whose interval j takes the transform of
+    interval ``parent[j]`` of a mesh with ``zones``."""
+    stops = np.array([e for _, _, e in zones])
+    code = np.searchsorted(stops, parent, side="right")
+    cut = (np.flatnonzero(np.diff(code)) + 1).tolist()
+    return merge_runs((zones[code[s]][0], s, e)
+                      for s, e in zip([0] + cut, cut + [len(parent)]))
 
 
 @dataclass(frozen=True)
@@ -108,7 +133,7 @@ def init_linear(a: float, b: float, m: int, bc_values, n: int = 2) -> EvolvingMe
     ``bc_values`` are the Dirichlet endpoint values of the first component;
     it is interpolated linearly, the second component (when present) is set
     to the interpolant's constant slope, remaining components to zero.  All
-    interval transforms start as the identity.
+    intervals form one identity zone.
     """
     if m < 2:
         raise ConfigError("need at least 2 intervals")
@@ -120,7 +145,7 @@ def init_linear(a: float, b: float, m: int, bc_values, n: int = 2) -> EvolvingMe
     U[:, 0] = ua + (ub - ua) * (T - a) / (b - a)
     if n >= 2:
         U[:, 1] = (ub - ua) / (b - a)
-    return EvolvingMesh(U, T, [IDENTITY] * m)
+    return EvolvingMesh(U, T)
 
 
 def normalize(mesh: EvolvingMesh, merge_tol: float = 0.0) -> EvolvingMesh:
@@ -135,10 +160,9 @@ def normalize(mesh: EvolvingMesh, merge_tol: float = 0.0) -> EvolvingMesh:
     out = mesh
     order = np.argsort(out.T, kind="stable")
     if not np.array_equal(order, np.arange(len(order))):
-        out = EvolvingMesh(
-            out.U[order], out.T[order],
-            [out.transforms[min(i, len(out.transforms) - 1)]
-             for i in order[:-1]])
+        parent = np.minimum(order[:-1], out.interval_count - 1)
+        out = EvolvingMesh(out.U[order], out.T[order],
+                           _inherit_zones(out.zones, parent))
     while True:
         bad = _degenerate_mask(out, merge_tol)
         if bad is None:
@@ -158,18 +182,18 @@ def normalize(mesh: EvolvingMesh, merge_tol: float = 0.0) -> EvolvingMesh:
         if knots - int(drop.sum()) < 3:
             raise MeshError("fewer than 3 knots after normalization")
         idx = np.flatnonzero(~drop)
-        transforms = [out.transforms[i] for i in idx[:-1]]
-        out = EvolvingMesh(out.U[idx], out.T[idx], transforms)
+        out = EvolvingMesh(out.U[idx], out.T[idx],
+                           _inherit_zones(out.zones, idx[:-1]))
 
 
 def _degenerate_mask(mesh: EvolvingMesh, merge_tol: float):
     """Boolean mask of degenerate intervals, or None when all are clean."""
     steps = mesh.natural_steps(signed=True)
     bad = np.zeros(mesh.interval_count, dtype=bool)
-    for tr, idx in _transform_groups(mesh.transforms).items():
-        group = steps[idx]
+    for _, s, e in mesh.zones:
+        group = steps[s:e]
         dominant = np.sign(np.median(group)) or 1.0
-        bad[idx] = (np.abs(group) < merge_tol) | (group * dominant <= 0.0)
+        bad[s:e] = (np.abs(group) < merge_tol) | (group * dominant <= 0.0)
     bad |= np.diff(mesh.T) == 0.0
     return bad if bad.any() else None
 
@@ -181,7 +205,7 @@ def refine(mesh: EvolvingMesh, system: OdeSystem,
     An interval is split while its natural step exceeds h_max, or while
     ||T(F)(q_R, tau_R) - T(F)(q_L, tau_L)|| >= 2M and both halves would
     stay at or above h_min.  New knots interpolate (u, t) linearly between
-    their neighbors and inherit the parent interval's transform.
+    their neighbors, and both halves stay in the parent interval's zone.
     """
     out = mesh
     for _ in range(64):  # each pass at least halves offending steps
@@ -198,22 +222,15 @@ def refine(mesh: EvolvingMesh, system: OdeSystem,
 
 def _split_mask(mesh: EvolvingMesh, system: OdeSystem,
                 cfg: RefinementConfig) -> np.ndarray:
-    m = mesh.interval_count
-    split = np.zeros(m, dtype=bool)
-    for tr, idx in _transform_groups(mesh.transforms).items():
-        idx = np.asarray(idx)
-        tsys = apply(tr, system)
-        sL = map_state(tr, mesh.U[idx].T, mesh.T[idx])
-        sR = map_state(tr, mesh.U[idx + 1].T, mesh.T[idx + 1])
-        tauL = np.atleast_1d(np.asarray(sL.tau, dtype=float))
-        tauR = np.atleast_1d(np.asarray(sR.tau, dtype=float))
-        h = np.abs(tauR - tauL)
-        fL = eval_rhs_batch(tsys, np.atleast_2d(sL.q), tauL)
-        fR = eval_rhs_batch(tsys, np.atleast_2d(sR.q), tauR)
-        d = np.max(np.abs(fR - fL), axis=0)
+    split = np.empty(mesh.interval_count, dtype=bool)
+    for tr, s, e in mesh.zones:
+        state = map_state(tr, mesh.U[s:e + 1].T, mesh.T[s:e + 1])
+        h = np.abs(np.diff(state.tau))
+        f = eval_rhs_batch(apply(tr, system), state.q, state.tau)
+        d = np.max(np.abs(np.diff(f, axis=1)), axis=0)
         over_max = h > cfg.h_max * (1 + 1e-12)
         rough = (d >= 2 * cfg.M) & (h >= 2 * cfg.h_min * (1 - 1e-12))
-        split[idx] = (over_max | rough) & (h > 0)
+        split[s:e] = (over_max | rough) & (h > 0)
     return split
 
 
@@ -223,30 +240,6 @@ def _bisect(mesh: EvolvingMesh, split: np.ndarray) -> EvolvingMesh:
     midT = 0.5 * (mesh.T[idx] + mesh.T[idx + 1])
     U = np.insert(mesh.U, idx + 1, midU, axis=0)
     T = np.insert(mesh.T, idx + 1, midT)
-    # each new interval inherits its parent's transform
     parent = np.repeat(np.arange(mesh.interval_count), 1 + split)
-    transforms = [mesh.transforms[i] for i in parent]
-    return EvolvingMesh(U, T, transforms)
+    return EvolvingMesh(U, T, _inherit_zones(mesh.zones, parent))
 
-
-def _transform_groups(transforms: Sequence[Transform]):
-    """Index arrays per distinct transform, built from consecutive runs
-    (zone assignments are contiguous, so this avoids per-element hashing).
-
-    Candidate run boundaries come from object identity, which is cheap;
-    equal-but-distinct neighbors are merged with a real comparison.
-    """
-    m = len(transforms)
-    if m == 0:
-        return {}
-    ids = np.fromiter(map(id, transforms), dtype=np.int64, count=m)
-    starts = [0]
-    for c in np.flatnonzero(ids[1:] != ids[:-1]) + 1:
-        if transforms[c] != transforms[starts[-1]]:
-            starts.append(int(c))
-    runs = {}
-    for s, e in zip(starts, starts[1:] + [m]):
-        runs.setdefault(transforms[s], []).append((s, e))
-    return {tr: (np.arange(*rr[0]) if len(rr) == 1 else
-                 np.concatenate([np.arange(s, e) for s, e in rr]))
-            for tr, rr in runs.items()}

@@ -16,8 +16,15 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .backend import DEFAULT_BACKEND
 from .errors import EvaluationError
+
+# relative central-difference step of the float64 arithmetic: eps**(1/3)
+FD_REL_STEP = float(np.finfo(np.float64).eps) ** (1.0 / 3.0)
+
+
+def fd_step(x):
+    """Per-coordinate central-difference step: eps^(1/3) * max(1, |x|)."""
+    return FD_REL_STEP * np.maximum(1.0, np.abs(x))
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,6 @@ class BoundaryConditions:
     """
 
     residual: Callable
-    separated_mask: Optional[tuple] = None
     pins: Mapping = field(default_factory=dict)
 
 
@@ -111,7 +117,7 @@ def eval_rhs_batch(system: OdeSystem, U, T):
     return out
 
 
-def eval_jacobian(system: OdeSystem, u, t, backend=DEFAULT_BACKEND):
+def eval_jacobian(system: OdeSystem, u, t):
     """Return the n x (n+1) matrix [dF/du | dF/dt].
 
     Uses the analytic ``jac`` when present, otherwise central finite
@@ -127,11 +133,10 @@ def eval_jacobian(system: OdeSystem, u, t, backend=DEFAULT_BACKEND):
         if not np.isfinite(out).all():
             raise EvaluationError("non-finite analytic Jacobian entry")
         return out
-    return fd_jacobian(system, u, t, backend)
+    return fd_jacobian(system, u, t)
 
 
-def eval_jacobian_batch(system: OdeSystem, U, T, scale=None,
-                        backend=DEFAULT_BACKEND):
+def eval_jacobian_batch(system: OdeSystem, U, T, scale=None):
     """[dF/du | dF/dt] at many states at once, shape (n, n+1, B).
 
     ``U`` has shape (n, B), ``T`` shape (B,).  Uses the analytic ``jac``
@@ -153,7 +158,7 @@ def eval_jacobian_batch(system: OdeSystem, U, T, scale=None,
                 f"expected ({n}, {n + 1}, {count})")
     else:
         Z = np.vstack([U, T])
-        h = backend.fd_rel_step * np.maximum(
+        h = FD_REL_STEP * np.maximum(
             np.abs(Z), 1.0 if scale is None else scale)
         out = np.empty((n, n + 1, count))
         for j in range(n + 1):
@@ -169,18 +174,18 @@ def eval_jacobian_batch(system: OdeSystem, U, T, scale=None,
     return out
 
 
-def fd_jacobian(system: OdeSystem, u, t, backend=DEFAULT_BACKEND):
+def fd_jacobian(system: OdeSystem, u, t):
     """Central-difference Jacobian [dF/du | dF/dt] of the rhs."""
     u = np.asarray(u, dtype=float)
     n = system.n
     out = np.empty((n, n + 1))
     for j in range(n):
-        h = float(backend.fd_step(u[j]))
+        h = float(fd_step(u[j]))
         up, um = u.copy(), u.copy()
         up[j] += h
         um[j] -= h
         out[:, j] = (eval_rhs(system, up, t) - eval_rhs(system, um, t)) / (2 * h)
-    h = float(backend.fd_step(t))
+    h = float(fd_step(t))
     out[:, n] = (eval_rhs(system, u, t + h) - eval_rhs(system, u, t - h)) / (2 * h)
     if not np.isfinite(out).all():
         raise EvaluationError("non-finite finite-difference Jacobian entry")

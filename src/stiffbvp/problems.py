@@ -87,7 +87,7 @@ def troesch(lam: float) -> ProblemSpec:
     def bc_residual(u_a, u_b):
         return np.array([u_a[0], u_b[0] - 1.0])
 
-    bc = BoundaryConditions(bc_residual, separated_mask=(True, True),
+    bc = BoundaryConditions(bc_residual,
                             pins={("a", 1): (0, 0.0), ("b", 1): (1, 1.0)})
     return ProblemSpec(system, bc, (0.0, 1.0), name=f"troesch(lam={lam:g})",
                        reference=_TROESCH_REFERENCE,
@@ -164,7 +164,7 @@ def linear_verification() -> ProblemSpec:
     def bc_residual(u_a, u_b):
         return np.array([u_a[0], u_b[0] - np.sinh(1.0)])
 
-    bc = BoundaryConditions(bc_residual, separated_mask=(True, True),
+    bc = BoundaryConditions(bc_residual,
                             pins={("a", 1): (0, 0.0), ("b", 1): (1, np.sinh(1.0))})
 
     def exact(t):

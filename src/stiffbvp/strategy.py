@@ -1,20 +1,20 @@
 """Transformation-selection strategies.
 
-A strategy looks at the current mesh iterate and decides, interval by
-interval, which change of variables (swap plus flips) the trapezoidal
-equation of that interval should be written in.  The solver re-runs the
+A strategy looks at the current mesh iterate and splits the intervals
+into zones, contiguous runs whose trapezoidal equations are written in the
+same change of variables (swap plus flips).  The solver re-runs the
 strategy after every Newton sweep until the assignment is stationary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, StrategyError
-from .mesh import EvolvingMesh
+from .mesh import EvolvingMesh, Zone, merge_runs
 from .ode_system import BoundaryConditions, OdeSystem, eval_rhs_batch
 from .transform import IDENTITY, Transform
 
@@ -70,13 +70,24 @@ def select_flips(uL: np.ndarray, uR: np.ndarray, k: int) -> frozenset:
 
 
 class TransformStrategy:
-    """Base interface: map a mesh iterate to per-interval transforms."""
+    """Base interface: map a mesh iterate to zones of interval transforms."""
 
     name = "base"
 
     def assign(self, mesh: EvolvingMesh, system: OdeSystem,
-               bc: BoundaryConditions) -> List[Transform]:
+               bc: BoundaryConditions) -> Tuple[Zone, ...]:
+        """Zones for the mesh: (transform, start, stop) runs in the form
+        ``EvolvingMesh`` takes, covering intervals 0..m-1."""
         raise NotImplementedError
+
+
+def _layout(m: int, parts: Sequence[Tuple[Transform, int]]):
+    """Zones of a fixed layout of distinct transforms given as (transform,
+    first interval) pairs in order; each runs to the next pair's first
+    interval, and empty runs are dropped."""
+    stops = [start for _, start in parts[1:]] + [m]
+    return tuple((tr, start, stop)
+                 for (tr, start), stop in zip(parts, stops) if start < stop)
 
 
 class IdentityStrategy(TransformStrategy):
@@ -85,7 +96,7 @@ class IdentityStrategy(TransformStrategy):
     name = "identity"
 
     def assign(self, mesh, system, bc):
-        return [IDENTITY] * mesh.interval_count
+        return ((IDENTITY, 0, mesh.interval_count),)
 
 
 class AutoStrategy(TransformStrategy):
@@ -131,7 +142,7 @@ class AutoStrategy(TransformStrategy):
                 if residual_stiff >= self.cfg.theta:
                     flips = select_flips(mesh.U[i], mesh.U[i + 1], k)
             out.append(Transform(swap=k, flips=flips))
-        return out
+        return merge_runs((tr, i, i + 1) for i, tr in enumerate(out))
 
 
 class GrowthZoneStrategy(TransformStrategy):
@@ -149,7 +160,7 @@ class GrowthZoneStrategy(TransformStrategy):
         hot = np.flatnonzero(mesh.U[:, 1] > 1.0)
         eps_idx = int(hot[0]) if hot.size else m
         layer = Transform(swap=1, flips=frozenset({2}))
-        return [IDENTITY if i < eps_idx else layer for i in range(m)]
+        return _layout(m, [(IDENTITY, 0), (layer, eps_idx)])
 
 
 class SteepGrowthZoneStrategy(TransformStrategy):
@@ -181,15 +192,7 @@ class SteepGrowthZoneStrategy(TransformStrategy):
             eps1_idx = min(eps1_idx, m - 1)
         mid = Transform(swap=2)
         layer = Transform(swap=1, flips=frozenset({2}))
-        out = []
-        for i in range(m):
-            if i < eps_idx:
-                out.append(IDENTITY)
-            elif i < eps1_idx:
-                out.append(mid)
-            else:
-                out.append(layer)
-        return out
+        return _layout(m, [(IDENTITY, 0), (mid, eps_idx), (layer, eps1_idx)])
 
 
 _STRATEGIES = {

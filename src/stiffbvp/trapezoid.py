@@ -15,18 +15,16 @@ sweep, so the unknown count is always (m+1)*n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .backend import DEFAULT_BACKEND, ScalarBackend
 from .errors import (ConfigError, DomainError, EvaluationError,
                      NonConvergence, NonStationaryBoundary,
                      SingularLinearSystem, SingularStepError)
-from .mesh import (EvolvingMesh, RefinementConfig, _transform_groups,
-                   normalize, refine)
+from .mesh import EvolvingMesh, RefinementConfig, normalize, refine
 from .ode_system import (BoundaryConditions, OdeSystem, eval_jacobian_batch,
-                         eval_rhs_batch)
+                         eval_rhs_batch, fd_step)
 from .transform import (Transform, apply, map_state, state_jacobian,
                         unmap_state)
 
@@ -79,10 +77,6 @@ class Solution:
     residual_norm: float
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def knots(self):
-        return self.mesh.knots
-
 
 @dataclass
 class BlockJacobian:
@@ -117,7 +111,7 @@ def check_boundary_transforms(mesh: EvolvingMesh, bc: BoundaryConditions):
     when the corresponding end keeps its original condition.
     """
     sub = []
-    for side, tr in (("a", mesh.transforms[0]), ("b", mesh.transforms[-1])):
+    for side, tr in (("a", mesh.zones[0][0]), ("b", mesh.zones[-1][0])):
         if tr.swap is None:
             sub.append(None)
             continue
@@ -138,7 +132,7 @@ def anchor_pins(mesh: EvolvingMesh, bc: BoundaryConditions, a: float,
     that knot's tau and is set to the pinned value exactly; without a swap
     the knot's t is re-anchored to the domain end."""
     out = mesh.copy()
-    tr0, trm = out.transforms[0], out.transforms[-1]
+    tr0, trm = out.zones[0][0], out.zones[-1][0]
     if tr0.swap is not None:
         pin = bc.pins.get(("a", tr0.swap))
         if pin is not None:
@@ -155,43 +149,35 @@ def anchor_pins(mesh: EvolvingMesh, bc: BoundaryConditions, a: float,
 
 
 class _Sweep:
-    """One fixed-structure Newton solve: mesh topology, transforms and all
-    knot tau values are frozen; only the free coordinates move."""
+    """One fixed-structure Newton solve: mesh topology, zones and all knot
+    tau values are frozen; only the free coordinates move."""
 
-    def __init__(self, problem: SegmentedProblem,
-                 backend: ScalarBackend = DEFAULT_BACKEND):
+    def __init__(self, problem: SegmentedProblem):
         mesh = problem.mesh
         self.system = problem.system
         self.bc = problem.bc
-        self.backend = backend
         self.a, self.b = problem.domain
         self.n = mesh.n
         self.m = mesh.interval_count
-        self.transforms: List[Transform] = list(mesh.transforms)
+        self.zones = mesh.zones
         self.sub_left, self.sub_right = check_boundary_transforms(
             mesh, problem.bc)
-        # owner of knot i: interval i-1 for i > 0, interval 0 for knot 0
-        self.owners = [self.transforms[0]] + self.transforms
-        self.tsys = {tr: apply(tr, self.system)
-                     for tr in set(self.transforms)}
-        self.groups = [(tr, np.asarray(idx)) for tr, idx in
-                       _by_transform(self.transforms).items()]
-        # left knots whose owner differs from the interval transform
-        diff = [i for i in range(self.m)
-                if self.owners[i] != self.transforms[i]]
-        pairs = {}
-        for i in diff:
-            pairs.setdefault((self.owners[i], self.transforms[i]), []).append(i)
-        self.diff_pairs = [(o, tr, np.asarray(idx))
-                           for (o, tr), idx in pairs.items()]
+        self.tsys = {tr: apply(tr, self.system) for tr, _, _ in self.zones}
+        # knot i is owned by interval i-1 (knot 0 by interval 0), so a zone
+        # owns the knots after its start through its stop
+        self.owned = [(tr, slice(s + 1 if k else 0, e + 1))
+                      for k, (tr, s, e) in enumerate(self.zones)]
+        # the start of every later zone is a switch: a left knot owned by
+        # the previous zone
+        self.switches = [(prev[0], tr, np.array([s])) for prev, (tr, s, _)
+                         in zip(self.zones, self.zones[1:])]
         # freeze taus and collect the free coordinates
         self.tau = np.empty(self.m + 1)
         self.Q0 = np.empty((self.m + 1, self.n))
-        for owner, idx in _by_transform(self.owners).items():
-            idx = np.asarray(idx)
-            s = map_state(owner, mesh.U[idx].T, mesh.T[idx])
-            self.Q0[idx] = s.q.T
-            self.tau[idx] = s.tau
+        for owner, knots in self.owned:
+            st = map_state(owner, mesh.U[knots].T, mesh.T[knots])
+            self.Q0[knots] = st.q.T
+            self.tau[knots] = st.tau
 
     # -- residual ---------------------------------------------------------
 
@@ -199,18 +185,18 @@ class _Sweep:
         """Original-variable states (U, T) of all knots."""
         U = np.empty((self.m + 1, self.n))
         T = np.empty(self.m + 1)
-        for owner, idx in _by_transform(self.owners).items():
-            idx = np.asarray(idx)
-            u, t = unmap_state(owner, Q[idx].T, self.tau[idx])
-            U[idx] = u.T
-            T[idx] = t
+        for owner, knots in self.owned:
+            u, t = unmap_state(owner, Q[knots].T, self.tau[knots])
+            U[knots] = u.T
+            T[knots] = t
         return U, T
 
     def switch_states(self, QL: np.ndarray):
-        """Left knots at transform switches, re-expressed in their interval's
-        variables: (owner, transform, interval indices, u, t, NaturalState)
-        per switch pair, with (u, t) the original variables in between."""
-        for owner, tr, idx in self.diff_pairs:
+        """Left knots at zone switches, re-expressed in their interval's
+        variables: (owner, transform, interval index array, u, t,
+        NaturalState) per switch, with (u, t) the original variables in
+        between."""
+        for owner, tr, idx in self.switches:
             u, t = unmap_state(owner, QL[idx].T, self.tau[idx])
             yield owner, tr, idx, u, t, map_state(tr, u, t)
 
@@ -232,21 +218,22 @@ class _Sweep:
         """
         qL = QL.copy()
         tauL = self.tau[:-1].copy()
-        for *_, idx, _, _, s in self.switch_states(QL):
-            qL[idx] = s.q.T
-            tauL[idx] = s.tau
+        for *_, idx, _, _, st in self.switch_states(QL):
+            qL[idx] = st.q.T
+            tauL[idx] = st.tau
         dtau = self.natural_steps(tauL)
         out = np.empty((self.m, self.n))
-        for tr, idx in self.groups:
-            fL = eval_rhs_batch(self.tsys[tr], qL[idx].T, tauL[idx])
-            fR = eval_rhs_batch(self.tsys[tr], QR[idx].T, self.tau[idx + 1])
-            out[idx] = ((QR[idx] - qL[idx]) / dtau[idx, None]
+        for tr, s, e in self.zones:
+            fL = eval_rhs_batch(self.tsys[tr], qL[s:e].T, tauL[s:e])
+            fR = eval_rhs_batch(self.tsys[tr], QR[s:e].T,
+                                self.tau[s + 1:e + 1])
+            out[s:e] = ((QR[s:e] - qL[s:e]) / dtau[s:e, None]
                         - 0.5 * (fL + fR).T)
         return out
 
     def bc_residual(self, q0: np.ndarray, qm: np.ndarray) -> np.ndarray:
-        u_a, t_a = unmap_state(self.owners[0], q0, self.tau[0])
-        u_b, t_b = unmap_state(self.owners[-1], qm, self.tau[-1])
+        u_a, t_a = unmap_state(self.zones[0][0], q0, self.tau[0])
+        u_b, t_b = unmap_state(self.zones[-1][0], qm, self.tau[-1])
         g = np.array(self.bc.residual(u_a, u_b), dtype=float)
         if g.shape != (self.n,):
             raise EvaluationError(
@@ -291,7 +278,7 @@ class _Sweep:
                 scale[:, :-1] = np.maximum(scale[:, :-1], Z[:, 1:])
                 scale = np.maximum(scale, 1e-240)
             out[..., part] = eval_jacobian_batch(
-                tsys, X[:, part], T[part], scale, self.backend)
+                tsys, X[:, part], T[part], scale)
         return out
 
     def blocks(self, Q: np.ndarray) -> BlockJacobian:
@@ -306,26 +293,19 @@ class _Sweep:
         n, m = self.n, self.m
         switches = list(self.switch_states(Q[:-1]))
         tauL = self.tau[:-1].copy()
-        is_switch = np.zeros(m, dtype=bool)
-        for *_, idx, _, _, s in switches:
-            tauL[idx] = s.tau
-            is_switch[idx] = True
+        for *_, idx, _, _, st in switches:
+            tauL[idx] = st.tau
         inv = 1.0 / self.natural_steps(tauL)
         A = np.empty((m, n, n))
         B = np.empty((m, n, n))
-        for tr, idx in self.groups:
-            # every knot of the zone once; switch knots hold another zone's
-            # coordinates and are handled below
-            left = idx[~is_switch[idx]]
-            used = np.zeros(m + 1, dtype=bool)
-            used[left] = True
-            used[idx + 1] = True
-            knots = np.flatnonzero(used)
-            pos = np.cumsum(used) - 1           # knot -> row in `knots`
+        for (tr, s, e), (_, knots) in zip(self.zones, self.owned):
+            # each knot the zone owns once: the right knot of every interval
+            # and the left knot of every interval but a switch, whose
+            # coordinates belong to the previous zone (handled below)
             G = -0.5 * np.moveaxis(self.system_jacobian(
                 tr, Q[knots].T, self.tau[knots])[:, :n], -1, 0)
-            A[left] = G[pos[left]]
-            B[idx] = G[pos[idx + 1]]
+            A[knots.start:e] = G[:-1]
+            B[s:e] = G[s + 1 - knots.start:]
         diag = np.arange(n)
         A[:, diag, diag] -= inv[:, None]
         B[:, diag, diag] += inv[:, None]
@@ -355,10 +335,10 @@ class _Sweep:
                     - self.bc_residual(q_fixed, qm)) / (2 * h)
 
         for j in range(n):
-            h = float(self.backend.fd_step(Q[0, j]))
+            h = float(fd_step(Q[0, j]))
             C[:, j] = (4.0 * bc_diff(Q[-1], 0, j, 0.5 * h)
                        - bc_diff(Q[-1], 0, j, h)) / 3.0
-            h = float(self.backend.fd_step(Q[-1, j]))
+            h = float(fd_step(Q[-1, j]))
             D[:, j] = (4.0 * bc_diff(Q[0], 1, j, 0.5 * h)
                        - bc_diff(Q[0], 1, j, h)) / 3.0
         return BlockJacobian(A, B, C, D)
@@ -397,23 +377,21 @@ class _Sweep:
             r, norm = r_new, new_norm
             iters += 1
         U, T = self.states(Q)
-        mesh = EvolvingMesh(U, T, list(self.transforms))
+        mesh = EvolvingMesh(U, T, self.zones)
         return mesh, iters, norm
 
 
-def assemble_residual(problem: SegmentedProblem,
-                      backend: ScalarBackend = DEFAULT_BACKEND) -> np.ndarray:
+def assemble_residual(problem: SegmentedProblem) -> np.ndarray:
     """Residual vector of the full nonlinear system at the mesh iterate:
     m*n interval equations followed by n boundary equations."""
-    sweep = _Sweep(problem, backend)
+    sweep = _Sweep(problem)
     return sweep.residual(sweep.Q0)
 
 
-def assemble_jacobian(problem: SegmentedProblem,
-                      backend: ScalarBackend = DEFAULT_BACKEND) -> BlockJacobian:
+def assemble_jacobian(problem: SegmentedProblem) -> BlockJacobian:
     """Block-bidiagonal Jacobian of assemble_residual with respect to the
     free knot coordinates."""
-    sweep = _Sweep(problem, backend)
+    sweep = _Sweep(problem)
     return sweep.blocks(sweep.Q0)
 
 
@@ -470,11 +448,11 @@ def solve_linear_block(jac: BlockJacobian, rhs_int: np.ndarray,
 
 
 def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
-                 rcfg: Optional[RefinementConfig] = None, strategy=None,
-                 backend: ScalarBackend = DEFAULT_BACKEND) -> Solution:
-    """Outer solver loop: reassign transforms, normalize, refine, sweep.
+                 rcfg: Optional[RefinementConfig] = None,
+                 strategy=None) -> Solution:
+    """Outer solver loop: reassign zones, normalize, refine, sweep.
 
-    The strategy hook (when given) re-tags the intervals before every
+    The strategy hook (when given) reassigns the zones before every
     Newton sweep; the solve is finished once a converged sweep is followed
     by a no-op reassignment, normalization and refinement.  With
     ``rcfg=None`` the mesh topology is kept fixed (no refinement, no
@@ -490,9 +468,10 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
     converged = False
     for outer in range(cfg.max_outer):
         if strategy is not None:
-            new_tr = strategy.assign(mesh, system, bc)
-            changed = new_tr != list(mesh.transforms)
-            mesh = mesh.with_transforms(new_tr)
+            assigned = EvolvingMesh(mesh.U, mesh.T,
+                                    strategy.assign(mesh, system, bc))
+            changed = assigned.zones != mesh.zones
+            mesh = assigned
         else:
             changed = False
         before = mesh.knot_count
@@ -502,12 +481,13 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
             mesh = refine(mesh, system, rcfg)
         changed |= mesh.knot_count != before
         history.append({"outer": outer, "knots": mesh.knot_count,
-                        "zones": _zone_summary(mesh.transforms)})
+                        "zones": [(tr.label(), e - s)
+                                  for tr, s, e in mesh.zones]})
         if converged and not changed:
             return Solution(mesh, total_iters, last_norm,
                             diagnostics={"outer_iterations": outer,
                                          "history": history})
-        sweep = _Sweep(SegmentedProblem(system, bc, mesh, (a, b)), backend)
+        sweep = _Sweep(SegmentedProblem(system, bc, mesh, (a, b)))
         try:
             mesh, iters, last_norm = sweep.run(cfg)
             converged = True
@@ -517,7 +497,7 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
             # degenerate knots from the best iterate and retry, and give up
             # only if there is nothing left to repair
             U, T = sweep.states(sweep.last_Q)
-            stalled = EvolvingMesh(U, T, list(mesh.transforms))
+            stalled = EvolvingMesh(U, T, mesh.zones)
             repair_tol = rcfg.h_min * 0.5 if rcfg is not None else 1e-14
             repaired = normalize(stalled, merge_tol=max(merge_tol, repair_tol))
             if repaired.knot_count == stalled.knot_count:
@@ -530,18 +510,3 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
         f"transform assignment and refinement did not settle in "
         f"{cfg.max_outer} outer iterations")
 
-
-def _zone_summary(transforms):
-    """Run-length encoding of the interval tags: [(label, count), ...]."""
-    out = []
-    for tr in transforms:
-        if out and (tr is out[-1][0] or tr == out[-1][0]):
-            out[-1][1] += 1
-        else:
-            out.append([tr, 1])
-    return [(tr.label(), count) for tr, count in out]
-
-
-def _by_transform(transforms):
-    """Index arrays per distinct transform (contiguous zone runs)."""
-    return _transform_groups(transforms)

@@ -14,7 +14,7 @@ breakpoints clustered near u = 0) and frozen here.
 
 import pytest
 
-from stiffbvp import linear_verification, troesch
+from stiffbvp import linear_verification, merge_runs, troesch
 
 # lam -> (u2 at t=0, u2 at t=1), 17 significant digits
 ENERGY_REFS = {
@@ -36,6 +36,21 @@ def linear_problem():
 
 def rel_err(value, ref):
     return abs(value - ref) / abs(ref)
+
+
+def intervals(zones):
+    """Per-interval transforms of a zone tuple."""
+    return [tr for tr, s, e in zones for _ in range(s, e)]
+
+
+def zones_of(transforms):
+    """Zones of a per-interval transform list."""
+    return merge_runs((tr, i, i + 1) for i, tr in enumerate(transforms))
+
+
+def zone_summary(mesh):
+    """Run-length form of a mesh's zones: [(label, count), ...]."""
+    return [(tr.label(), e - s) for tr, s, e in mesh.zones]
 
 
 def random_states(rng, n, count, low=-2.0, high=2.0):

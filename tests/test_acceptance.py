@@ -19,9 +19,9 @@ from stiffbvp import (GrowthZoneStrategy, IdentityStrategy, NewtonConfig,
                       linear_verification, run_continuation, solve_spec,
                       swap_system, troesch, uniform_mesh)
 from stiffbvp.mesh import normalize, refine
-from stiffbvp.trapezoid import _Sweep, _zone_summary
+from stiffbvp.trapezoid import _Sweep
 
-from conftest import ENERGY_REFS, rel_err
+from conftest import ENERGY_REFS, rel_err, zone_summary
 
 
 def _report(num, ok, detail):
@@ -158,7 +158,7 @@ def test_criterion_7_structural_invariants():
         sol = solve_spec(spec, sol.mesh, strat, newton, rcfg)
 
     # zone ordering: identity, then 2-swap, then 1-swap with 2-flip
-    labels = [label for label, _ in _zone_summary(sol.mesh.transforms)]
+    labels = [label for label, _ in zone_summary(sol.mesh)]
     zones_ok = labels == ["I", "SP2", "SP1.FP2"]
 
     # mesh invariants: sorted strictly in t, natural steps within bounds

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from stiffbvp import (ColdStartFailure, ConfigError, ContinuationOracle,
-                      GrowthZoneStrategy, IdentityStrategy, NewtonConfig,
-                      RefinementConfig, SrnConfig, StopCriterion, Transform,
-                      endpoint_derivatives, error_curve, export_solution,
-                      import_solution, run_continuation, solve_spec, troesch,
-                      uniform_mesh, write_error_curve, write_srn_result)
+                      EvolvingMesh, GrowthZoneStrategy, IdentityStrategy,
+                      NewtonConfig, RefinementConfig, SrnConfig,
+                      StopCriterion, Transform, endpoint_derivatives,
+                      error_curve, export_solution, import_solution,
+                      run_continuation, solve_spec, troesch, uniform_mesh,
+                      write_error_curve, write_srn_result)
 
-from conftest import ENERGY_REFS, rel_err
+from conftest import ENERGY_REFS, intervals, rel_err, zones_of
 
 
 def test_uniform_mesh():
@@ -145,13 +146,15 @@ def test_solution_export_import_round_trip(tmp_path, troesch3):
                      IdentityStrategy())
     tail = Transform(swap=1, flips={2})
     m = sol.mesh.interval_count
-    sol.mesh.transforms[m - 1] = tail
+    transforms = intervals(sol.mesh.zones)
+    transforms[m - 1] = tail
+    sol.mesh = EvolvingMesh(sol.mesh.U, sol.mesh.T, zones_of(transforms))
     path = tmp_path / "solution.csv"
     export_solution(sol, path)
     back = import_solution(path)
     np.testing.assert_array_equal(back.T, sol.mesh.T)
     np.testing.assert_array_equal(back.U, sol.mesh.U)
-    assert back.transforms == sol.mesh.transforms
+    assert back.zones == sol.mesh.zones
 
 
 def test_export_row_count(tmp_path):

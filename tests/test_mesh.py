@@ -10,6 +10,8 @@ from stiffbvp import (ConfigError, EvolvingMesh, MeshError, OdeSystem,
                       init_linear, normalize, refine)
 from stiffbvp.transform import IDENTITY
 
+from conftest import intervals
+
 
 def _constant_system(values=(1.0, 1.0)):
     v = np.asarray(values, dtype=float)
@@ -24,7 +26,7 @@ def test_init_linear_troesch_example():
     np.testing.assert_allclose(mesh.T, [0, 0.25, 0.5, 0.75, 1])
     np.testing.assert_allclose(mesh.U[:, 0], [0, 0.25, 0.5, 0.75, 1])
     np.testing.assert_allclose(mesh.U[:, 1], np.ones(5))
-    assert all(tr.is_identity for tr in mesh.transforms)
+    assert all(tr.is_identity for tr in intervals(mesh.zones))
 
 
 def test_init_linear_counts_and_flat_guess():
@@ -45,7 +47,7 @@ def test_mesh_shape_validation():
     with pytest.raises(ConfigError):
         EvolvingMesh(np.zeros((3, 2)), np.zeros(4))
     with pytest.raises(ConfigError):
-        EvolvingMesh(np.zeros((3, 2)), np.zeros(3), [IDENTITY])
+        EvolvingMesh(np.zeros((3, 2)), np.zeros(3), [(IDENTITY, 0, 1)])
 
 
 def test_natural_steps_identity():
@@ -56,7 +58,7 @@ def test_natural_steps_identity():
 def test_natural_steps_with_swap():
     # under a 1-swap the natural step is the increment of u1
     mesh = init_linear(0.0, 1.0, 4, (0.0, 1.0))
-    mesh = mesh.with_transforms([Transform(swap=1)] * 4)
+    mesh = EvolvingMesh(mesh.U, mesh.T, [(Transform(swap=1), 0, 4)])
     np.testing.assert_allclose(mesh.natural_steps(), [0.25] * 4)
     mesh.U[:, 0] = [0.0, 0.1, 0.3, 0.6, 1.0]
     np.testing.assert_allclose(mesh.natural_steps(), [0.1, 0.2, 0.3, 0.4])
@@ -100,7 +102,7 @@ def test_normalize_decimates_zone_zigzag():
     T = np.linspace(0.0, 1.0, 6)
     u1 = np.array([0.0, 0.2, 0.45, 0.4, 0.8, 1.0])
     U = np.column_stack([u1, np.ones(6)])
-    mesh = EvolvingMesh(U, T, [Transform(swap=1)] * 5)
+    mesh = EvolvingMesh(U, T, [(Transform(swap=1), 0, 5)])
     out = normalize(mesh)
     steps = out.natural_steps(signed=True)
     assert (steps > 0).all()
@@ -207,10 +209,10 @@ def test_refine_knot_cap():
 def test_refine_transform_inheritance():
     mesh = init_linear(0.0, 1.0, 4, (0.0, 1.0))
     tail = Transform(swap=1, flips={2})
-    mesh = mesh.with_transforms([IDENTITY, IDENTITY, tail, tail])
+    mesh = EvolvingMesh(mesh.U, mesh.T, [(IDENTITY, 0, 2), (tail, 2, 4)])
     cfg = RefinementConfig(M=10.0, h_min=0.01, h_max=0.1)
     out = refine(mesh, _constant_system(), cfg)
-    labels = [tr.label() for tr in out.transforms]
+    labels = [tr.label() for tr in intervals(out.zones)]
     switch = labels.index("SP1.FP2")
     assert set(labels[:switch]) == {"I"}
     assert set(labels[switch:]) == {"SP1.FP2"}

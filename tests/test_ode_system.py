@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from stiffbvp import (EvaluationError, FLOAT64, LONGDOUBLE, OdeSystem,
-                      eval_jacobian, eval_jacobian_batch, eval_rhs,
-                      eval_rhs_batch, fd_jacobian, from_second_order,
-                      linear_verification, troesch)
+from stiffbvp import (EvaluationError, OdeSystem, eval_jacobian,
+                      eval_jacobian_batch, eval_rhs, eval_rhs_batch,
+                      fd_jacobian, from_second_order, linear_verification,
+                      troesch)
+from stiffbvp.ode_system import FD_REL_STEP, fd_step
 
 
 def test_troesch_rhs_values():
@@ -171,9 +172,7 @@ def test_from_second_order_matches_troesch():
                                    eval_rhs(direct, u, 0.1), rtol=1e-14)
 
 
-def test_backend_steps():
-    assert FLOAT64.eps == np.finfo(np.float64).eps
-    assert FLOAT64.fd_rel_step == pytest.approx(FLOAT64.eps ** (1 / 3))
-    assert FLOAT64.fd_step(0.0) == FLOAT64.fd_rel_step
-    assert FLOAT64.fd_step(10.0) == pytest.approx(10 * FLOAT64.fd_rel_step)
-    assert LONGDOUBLE.eps <= FLOAT64.eps
+def test_fd_step_rule():
+    assert FD_REL_STEP == pytest.approx(np.finfo(np.float64).eps ** (1 / 3))
+    assert fd_step(0.0) == FD_REL_STEP
+    assert fd_step(10.0) == pytest.approx(10 * FD_REL_STEP)

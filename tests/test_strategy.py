@@ -11,7 +11,8 @@ from stiffbvp import (AutoStrategy, ConfigError, GrowthZoneStrategy,
                       uniform_mesh)
 from stiffbvp.mesh import init_linear
 from stiffbvp.ode_system import OdeSystem
-from stiffbvp.trapezoid import _zone_summary
+
+from conftest import intervals, zone_summary
 
 
 def _solved_troesch(lam, strategy=None, h=0.05, rcfg=None):
@@ -69,20 +70,20 @@ def test_select_flips():
 def test_identity_strategy():
     spec = troesch(3.0)
     mesh = init_linear(0.0, 1.0, 8, (0.0, 1.0))
-    out = IdentityStrategy().assign(mesh, spec.system, spec.bc)
+    out = intervals(IdentityStrategy().assign(mesh, spec.system, spec.bc))
     assert all(tr.is_identity for tr in out)
 
 
 def test_auto_strategy_calm_problem_stays_identity():
     spec = troesch(1.0)
     mesh = init_linear(0.0, 1.0, 8, (0.0, 1.0))
-    out = AutoStrategy().assign(mesh, spec.system, spec.bc)
+    out = intervals(AutoStrategy().assign(mesh, spec.system, spec.bc))
     assert all(tr.is_identity for tr in out)
 
 
 def test_auto_strategy_tags_boundary_layer():
     spec, sol = _solved_troesch(6.0, h=0.02)
-    out = AutoStrategy().assign(sol.mesh, spec.system, spec.bc)
+    out = intervals(AutoStrategy().assign(sol.mesh, spec.system, spec.bc))
     assert out[-1].swap is not None
     assert any(not tr.is_identity for tr in out)
     assert all(tr.is_identity for tr in out[: len(out) // 2])
@@ -98,7 +99,7 @@ def test_auto_strategy_boundary_interval_restricted_to_pins():
     spec = troesch(3.0)
     system = OdeSystem(2, rhs)
     mesh = init_linear(0.0, 1.0, 4, (0.0, 1.0))
-    out = AutoStrategy().assign(mesh, system, spec.bc)
+    out = intervals(AutoStrategy().assign(mesh, system, spec.bc))
     assert out[-1].swap in (None, 1)
     assert out[0].swap in (None, 1)
 
@@ -109,7 +110,7 @@ def test_growth_zone_initial_guess_all_identity():
     # the linear cold-start guess has u2 = 1 everywhere, never > 1
     spec = troesch(3.0)
     mesh = init_linear(0.0, 1.0, 10, (0.0, 1.0))
-    out = GrowthZoneStrategy().assign(mesh, spec.system, spec.bc)
+    out = intervals(GrowthZoneStrategy().assign(mesh, spec.system, spec.bc))
     assert all(tr.is_identity for tr in out)
 
 
@@ -117,7 +118,7 @@ def test_growth_zone_two_blocks_on_solved_iterate():
     spec, sol = _solved_troesch(10.0, strategy=GrowthZoneStrategy(),
                                 rcfg=RefinementConfig(M=0.1, h_min=0.01,
                                                       h_max=0.1))
-    zones = _zone_summary(sol.mesh.transforms)
+    zones = zone_summary(sol.mesh)
     assert [label for label, _ in zones] == ["I", "SP1.FP2"]
     # the switch knot is the first one with u2 > 1
     switch = zones[0][1]
@@ -129,7 +130,7 @@ def test_steep_growth_zone_ordering():
     spec, sol = _solved_troesch(12.0, strategy=SteepGrowthZoneStrategy(),
                                 rcfg=RefinementConfig(M=0.1, h_min=0.005,
                                                       h_max=0.1))
-    zones = _zone_summary(sol.mesh.transforms)
+    zones = zone_summary(sol.mesh)
     labels = [label for label, _ in zones]
     assert labels == ["I", "SP2", "SP1.FP2"]
 
@@ -138,7 +139,8 @@ def test_steep_growth_zone_never_swaps_unpinned_boundary():
     # the middle zone swaps u2, which is unpinned at t = 1; the layout must
     # keep it away from the right boundary interval for every iterate
     spec, sol = _solved_troesch(8.0, h=0.02)
-    out = SteepGrowthZoneStrategy().assign(sol.mesh, spec.system, spec.bc)
+    out = intervals(SteepGrowthZoneStrategy().assign(sol.mesh, spec.system,
+                                                     spec.bc))
     assert out[-1].swap != 2
 
 

@@ -11,10 +11,10 @@ from stiffbvp import (BoundaryConditions, ConfigError, EvolvingMesh,
                       solve_linear_block, solve_spec, troesch, uniform_mesh)
 from stiffbvp import trapezoid
 from stiffbvp.mesh import init_linear
-from stiffbvp.trapezoid import (BlockJacobian, _Sweep, _zone_summary,
-                                anchor_pins, check_boundary_transforms)
+from stiffbvp.trapezoid import (BlockJacobian, _Sweep, anchor_pins,
+                                check_boundary_transforms)
 
-from conftest import ENERGY_REFS
+from conftest import ENERGY_REFS, intervals, zones_of
 
 
 def _line_problem(slope=2.0, m=6):
@@ -102,8 +102,8 @@ def test_jacobian_matches_fd_transformed_mesh():
     mesh = sol.mesh
     tail = Transform(swap=1, flips={2})
     transforms = [tail if i >= mesh.interval_count - 2 else t
-                  for i, t in enumerate(mesh.transforms)]
-    mesh = mesh.with_transforms(transforms)
+                  for i, t in enumerate(intervals(mesh.zones))]
+    mesh = EvolvingMesh(mesh.U, mesh.T, zones_of(transforms))
     problem = SegmentedProblem(spec.system, spec.bc, mesh, (0.0, 1.0))
     J = assemble_jacobian(problem).todense()
     J_fd = _fd_dense_jacobian(problem)
@@ -115,7 +115,8 @@ def _three_zone_problem(system=None, lam=6.0):
     spec = troesch(lam)
     sol = solve_spec(spec, uniform_mesh(spec, 0.1), IdentityStrategy())
     labels = ["I"] * 4 + ["SP2"] * 3 + ["SP1.FP2"] * 3
-    mesh = sol.mesh.with_transforms([Transform.parse(l) for l in labels])
+    mesh = EvolvingMesh(sol.mesh.U, sol.mesh.T,
+                        zones_of([Transform.parse(l) for l in labels]))
     return SegmentedProblem(system or spec.system, spec.bc, mesh, (0.0, 1.0))
 
 
@@ -160,8 +161,8 @@ def test_jacobian_work_count(monkeypatch):
     monkeypatch.setattr(_Sweep, "interval_residual", interval_residual)
     monkeypatch.setattr(trapezoid, "_JAC_CHUNK", 4)
     assemble_jacobian(problem)
-    zones = len(_zone_summary(problem.mesh.transforms))
-    switch_pairs = len(_Sweep(problem).diff_pairs)
+    zones = len(problem.mesh.zones)
+    switch_pairs = len(_Sweep(problem).switches)
     chunks = -(-problem.mesh.knot_count // 4)
     assert calls["residual"] == 0
     assert 0 < calls["jac"] <= (zones + switch_pairs) * chunks
@@ -247,10 +248,10 @@ def test_block_solve_singular_interval_block():
 
 def test_boundary_swap_requires_pin(troesch3):
     mesh = init_linear(0.0, 1.0, 4, (0.0, 1.0))
-    ok = mesh.with_transforms([Transform(swap=1)] * 4)
+    ok = EvolvingMesh(mesh.U, mesh.T, zones_of([Transform(swap=1)] * 4))
     assert check_boundary_transforms(ok, troesch3.bc) == (0, 1)
-    bad = mesh.with_transforms(
-        [Transform(swap=2)] + [Transform(swap=1)] * 3)
+    bad = EvolvingMesh(mesh.U, mesh.T, zones_of(
+        [Transform(swap=2)] + [Transform(swap=1)] * 3))
     with pytest.raises(NonStationaryBoundary):
         check_boundary_transforms(bad, troesch3.bc)
 
@@ -261,7 +262,7 @@ def test_anchor_pins(troesch3):
     mesh.T[-1] = 1.0 - 1e-5
     out = anchor_pins(mesh, troesch3.bc, 0.0, 1.0)
     assert out.T[0] == 0.0 and out.T[-1] == 1.0
-    swapped = mesh.with_transforms([Transform(swap=1)] * 4)
+    swapped = EvolvingMesh(mesh.U, mesh.T, zones_of([Transform(swap=1)] * 4))
     swapped.U[-1, 0] = 0.997
     out = anchor_pins(swapped, troesch3.bc, 0.0, 1.0)
     assert out.U[-1, 0] == 1.0          # pinned value becomes exact tau
