@@ -316,16 +316,24 @@ def export_solution(solution: Solution, path):
 
 
 def import_solution(path) -> EvolvingMesh:
-    """Inverse of export_solution (bit-exact at 64-bit)."""
+    """Inverse of export_solution (bit-exact at 64-bit).  A malformed file
+    raises ConfigError naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        n = len(header) - 2
-        U_rows, T_vals, labels = [], [], []
+        n = len(next(reader, [])) - 2
+        if n < 1:
+            raise ConfigError(f"{path}: line 1: expected the header "
+                              f"t,u1,...,transform")
+        U_rows, T_vals, transforms = [], [], []
         for row in reader:
-            T_vals.append(float(row[0]))
-            U_rows.append([float(v) for v in row[1:1 + n]])
-            labels.append(row[1 + n])
-    zones = merge_runs((Transform.parse(lbl), i, i + 1)
-                       for i, lbl in enumerate(labels[:-1]))
+            try:
+                if len(row) != n + 2:
+                    raise ValueError(f"{len(row)} fields, expected {n + 2}")
+                T_vals.append(float(row[0]))
+                U_rows.append([float(v) for v in row[1:1 + n]])
+                transforms.append(Transform.parse(row[1 + n]))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{path}: line {reader.line_num}: {exc}") from exc
+    zones = merge_runs((tr, i, i + 1) for i, tr in enumerate(transforms[:-1]))
     return EvolvingMesh(np.array(U_rows), np.array(T_vals), zones)

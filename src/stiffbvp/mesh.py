@@ -43,6 +43,8 @@ class EvolvingMesh:
         if len(self.T) != self.U.shape[0]:
             raise ConfigError("knot count mismatch between U and T")
         m = len(self.T) - 1
+        if m < 1:
+            raise ConfigError(f"a mesh needs at least 2 knots, got {m + 1}")
         if self.zones is None:
             self.zones = ((IDENTITY, 0, m),)
         self.zones = tuple((tr, int(s), int(e)) for tr, s, e in self.zones)

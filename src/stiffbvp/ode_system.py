@@ -117,25 +117,6 @@ def eval_rhs_batch(system: OdeSystem, U, T):
     return out
 
 
-def eval_jacobian(system: OdeSystem, u, t):
-    """Return the n x (n+1) matrix [dF/du | dF/dt].
-
-    Uses the analytic ``jac`` when present, otherwise central finite
-    differences with step eps^(1/3) * max(1, |x|) per coordinate.
-    """
-    u = np.asarray(u, dtype=float)
-    if system.jac is not None:
-        out = np.asarray(system.jac(u, t), dtype=float)
-        if out.shape != (system.n, system.n + 1):
-            raise EvaluationError(
-                f"jac returned shape {out.shape}, "
-                f"expected ({system.n}, {system.n + 1})")
-        if not np.isfinite(out).all():
-            raise EvaluationError("non-finite analytic Jacobian entry")
-        return out
-    return fd_jacobian(system, u, t)
-
-
 def eval_jacobian_batch(system: OdeSystem, U, T, scale=None):
     """[dF/du | dF/dt] at many states at once, shape (n, n+1, B).
 

@@ -231,20 +231,31 @@ class _Sweep:
                         - 0.5 * (fL + fR).T)
         return out
 
-    def bc_residual(self, q0: np.ndarray, qm: np.ndarray) -> np.ndarray:
+    def end_states(self, q0: np.ndarray, qm: np.ndarray) -> np.ndarray:
+        """Original-variable end states stacked as (u_a, t_a, u_b, t_b)."""
         u_a, t_a = unmap_state(self.zones[0][0], q0, self.tau[0])
         u_b, t_b = unmap_state(self.zones[-1][0], qm, self.tau[-1])
-        g = np.array(self.bc.residual(u_a, u_b), dtype=float)
-        if g.shape != (self.n,):
+        return np.concatenate([u_a, [t_a], u_b, [t_b]])
+
+    def boundary_residual(self, z: np.ndarray) -> np.ndarray:
+        """Boundary rows at stacked end states z = (u_a, t_a, u_b, t_b):
+        g(u_a, u_b), except that the row pinning a component that a
+        boundary swap made the knot's tau reads t_a - a (or t_b - b)."""
+        n = self.n
+        g = np.array(self.bc.residual(z[:n], z[n + 1:-1]), dtype=float)
+        if g.shape != (n,):
             raise EvaluationError(
-                f"boundary residual has shape {g.shape}, expected ({self.n},)")
+                f"boundary residual has shape {g.shape}, expected ({n},)")
         if self.sub_left is not None:
-            g[self.sub_left] = t_a - self.a
+            g[self.sub_left] = z[n] - self.a
         if self.sub_right is not None:
-            g[self.sub_right] = t_b - self.b
+            g[self.sub_right] = z[-1] - self.b
         if not np.isfinite(g).all():
             raise EvaluationError("non-finite boundary residual")
         return g
+
+    def bc_residual(self, q0: np.ndarray, qm: np.ndarray) -> np.ndarray:
+        return self.boundary_residual(self.end_states(q0, qm))
 
     def residual(self, Q: np.ndarray) -> np.ndarray:
         r = self.interval_residual(Q[:-1], Q[1:])
@@ -289,6 +300,9 @@ class _Sweep:
         B[i] = I/dtau - G_q(knot i+1)/2.  At a transform switch the left
         knot's natural (q_L, tau_L) = phi(Q_L) go through map(unmap(.)),
         so A[i] = [dr/dq_L | dr/dtau_L] @ dphi/dQ_L by the chain rule.
+        The boundary rows follow the same rule: C = dg/d(u_a, t_a) @
+        d(u_a, t_a)/dq_0, with dg from central differences of the
+        boundary residual in original variables, and D likewise at knot m.
         """
         n, m = self.n, self.m
         switches = list(self.switch_states(Q[:-1]))
@@ -319,28 +333,19 @@ class _Sweep:
             dphi = np.einsum("ijb,jkb->bik", state_jacobian(tr, u),
                              state_jacobian(owner, Q[idx].T))
             A[idx] = dr @ dphi[:, :, :n]
-        # boundary rows: O(n**2) Richardson differences of bc_residual
-        C = np.empty((n, n))
-        D = np.empty((n, n))
-
-        def bc_diff(q_fixed, side, j, h):
-            qp = (Q[0] if side == 0 else Q[-1]).copy()
-            qm = qp.copy()
-            qp[j] += h
-            qm[j] -= h
-            if side == 0:
-                return (self.bc_residual(qp, q_fixed)
-                        - self.bc_residual(qm, q_fixed)) / (2 * h)
-            return (self.bc_residual(q_fixed, qp)
-                    - self.bc_residual(q_fixed, qm)) / (2 * h)
-
-        for j in range(n):
-            h = float(fd_step(Q[0, j]))
-            C[:, j] = (4.0 * bc_diff(Q[-1], 0, j, 0.5 * h)
-                       - bc_diff(Q[-1], 0, j, h)) / 3.0
-            h = float(fd_step(Q[-1, j]))
-            D[:, j] = (4.0 * bc_diff(Q[0], 1, j, 0.5 * h)
-                       - bc_diff(Q[0], 1, j, h)) / 3.0
+        # boundary rows: central differences of g over the original end
+        # states, chained through the unmap Jacobians of the end zones
+        z = self.end_states(Q[0], Q[-1])
+        h = fd_step(z)
+        dg = np.empty((n, 2 * n + 2))
+        for j in range(2 * n + 2):
+            zp, zm = z.copy(), z.copy()
+            zp[j] += h[j]
+            zm[j] -= h[j]
+            dg[:, j] = ((self.boundary_residual(zp)
+                         - self.boundary_residual(zm)) / (zp[j] - zm[j]))
+        C = dg[:, :n + 1] @ state_jacobian(self.zones[0][0], Q[0])[:, :n]
+        D = dg[:, n + 1:] @ state_jacobian(self.zones[-1][0], Q[-1])[:, :n]
         return BlockJacobian(A, B, C, D)
 
     # -- Newton iteration -------------------------------------------------

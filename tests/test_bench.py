@@ -157,6 +157,19 @@ def test_solution_export_import_round_trip(tmp_path, troesch3):
     assert back.zones == sol.mesh.zones
 
 
+@pytest.mark.parametrize("text, line", [
+    ("", 1),
+    ("t,u1,u2,transform\n0,0,1,I\n0.5,half,1,I\n1,1,1,I\n", 3),
+    ("t,u1,u2,transform\n0,0,1,I\n0.5,0.5,1,SPX\n1,1,1,I\n", 3),
+    ("t,u1,u2,transform\n0,0,1,I\n0.5,0.5\n1,1,1,I\n", 3),
+], ids=["empty", "non-numeric", "bad-transform", "short-row"])
+def test_import_solution_rejects_malformed_file(tmp_path, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"line {line}:"):
+        import_solution(path)
+
+
 def test_export_row_count(tmp_path):
     from stiffbvp import EvolvingMesh, Solution
     T = np.array([0.0, 0.5, 1.0])

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from stiffbvp import (EvaluationError, OdeSystem, eval_jacobian,
-                      eval_jacobian_batch, eval_rhs, eval_rhs_batch,
-                      fd_jacobian, from_second_order, linear_verification,
-                      troesch)
+from stiffbvp import (EvaluationError, OdeSystem, eval_jacobian_batch,
+                      eval_rhs, eval_rhs_batch, fd_jacobian,
+                      from_second_order, linear_verification, troesch)
 from stiffbvp.ode_system import FD_REL_STEP, fd_step
 
 
@@ -64,7 +63,8 @@ def test_batch_nonfinite_raises():
 
 def test_troesch_analytic_jacobian_at_origin():
     # d(lam*sinh(lam*u1))/du1 = lam**2*cosh(lam*u1) = 1 at lam=1, u1=0
-    J = eval_jacobian(troesch(1.0).system, [0.0, 0.0], 0.0)
+    J = eval_jacobian_batch(troesch(1.0).system, np.zeros((2, 1)),
+                            np.zeros(1))[..., 0]
     np.testing.assert_allclose(J, [[0, 1, 0], [1, 0, 0]], atol=1e-12)
 
 
@@ -74,7 +74,7 @@ def test_fd_matches_analytic_jacobian():
     for _ in range(20):
         u = rng.uniform(-1, 1, size=2)
         t = rng.uniform(0, 1)
-        J_an = eval_jacobian(system, u, t)
+        J_an = eval_jacobian_batch(system, u[:, None], np.array([t]))[..., 0]
         J_fd = fd_jacobian(system, u, t)
         np.testing.assert_allclose(J_fd, J_an, rtol=1e-7, atol=1e-8)
 
@@ -100,7 +100,7 @@ def test_jac_shape_validation():
     system = OdeSystem(2, lambda u, t: np.array([u[1], u[0]]),
                        jac=lambda u, t: np.zeros((2, 2)))
     with pytest.raises(EvaluationError):
-        eval_jacobian(system, [0.0, 0.0], 0.0)
+        eval_jacobian_batch(system, np.zeros((2, 1)), np.zeros(1))
 
 
 @pytest.mark.parametrize("spec", [troesch(3.0), linear_verification()],
@@ -112,8 +112,9 @@ def test_catalog_jacobian_is_batch_safe(spec):
     batch = spec.system.jac(U, T)
     assert batch.shape == (2, 3, 6)
     for b in range(6):
-        np.testing.assert_array_equal(batch[..., b],
-                                      eval_jacobian(spec.system, U[:, b], T[b]))
+        np.testing.assert_array_equal(
+            batch[..., b],
+            eval_jacobian_batch(spec.system, U[:, b:b + 1], T[b:b + 1])[..., 0])
 
 
 def test_batch_jacobian_fd_matches_analytic():

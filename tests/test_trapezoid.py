@@ -87,27 +87,37 @@ def _fd_dense_jacobian(problem, step=1e-7):
     return out
 
 
+# nonlinear, two-sided and without pins: every entry of C and D is live
+NONLINEAR_BC = BoundaryConditions(lambda ua, ub: np.array(
+    [ua[0] * ua[1] + ua[0] - 0.1 * ub[1], ub[0] ** 2 + np.sin(ub[1]) - 1.0]))
+
+
 def test_jacobian_matches_fd_identity_mesh(troesch3):
     mesh = init_linear(0.0, 1.0, 5, (0.0, 1.0))
-    problem = SegmentedProblem(troesch3.system, troesch3.bc, mesh, (0.0, 1.0))
-    J = assemble_jacobian(problem).todense()
-    J_fd = _fd_dense_jacobian(problem)
-    np.testing.assert_allclose(J, J_fd, rtol=1e-5, atol=1e-7)
+    for bc in (troesch3.bc, NONLINEAR_BC):
+        problem = SegmentedProblem(troesch3.system, bc, mesh, (0.0, 1.0))
+        J = assemble_jacobian(problem).todense()
+        J_fd = _fd_dense_jacobian(problem)
+        np.testing.assert_allclose(J, J_fd, rtol=1e-5, atol=1e-7)
 
 
 def test_jacobian_matches_fd_transformed_mesh():
-    # transformed tail: swap u1 and flip u2 on the last two intervals
+    # tail: swap u1 and flip u2 on the last two intervals; head: swap u1 on
+    # the first two, so the left boundary row becomes t_a - a
     spec = troesch(6.0)
     sol = solve_spec(spec, uniform_mesh(spec, 0.2), IdentityStrategy())
-    mesh = sol.mesh
-    tail = Transform(swap=1, flips={2})
-    transforms = [tail if i >= mesh.interval_count - 2 else t
-                  for i, t in enumerate(intervals(mesh.zones))]
-    mesh = EvolvingMesh(mesh.U, mesh.T, zones_of(transforms))
-    problem = SegmentedProblem(spec.system, spec.bc, mesh, (0.0, 1.0))
-    J = assemble_jacobian(problem).todense()
-    J_fd = _fd_dense_jacobian(problem)
-    np.testing.assert_allclose(J, J_fd, rtol=1e-5, atol=1e-6)
+    for end, sub_left in (("tail", None), ("head", 0)):
+        transforms = intervals(sol.mesh.zones)
+        if end == "tail":
+            transforms[-2:] = [Transform(swap=1, flips={2})] * 2
+        else:
+            transforms[:2] = [Transform(swap=1)] * 2
+        mesh = EvolvingMesh(sol.mesh.U, sol.mesh.T, zones_of(transforms))
+        problem = SegmentedProblem(spec.system, spec.bc, mesh, (0.0, 1.0))
+        assert _Sweep(problem).sub_left == sub_left
+        J = assemble_jacobian(problem).todense()
+        J_fd = _fd_dense_jacobian(problem)
+        np.testing.assert_allclose(J, J_fd, rtol=1e-5, atol=1e-6)
 
 
 def _three_zone_problem(system=None, lam=6.0):
@@ -142,23 +152,35 @@ def test_jacobian_without_analytic_jac_matches_fd():
 
 def test_jacobian_work_count(monkeypatch):
     # the blocks come from one batched jac call per zone and switch pair
-    # and chunk, never from residual passes
+    # and chunk, never from residual passes; the boundary rows from
+    # 2*(n+1) central differences of the user's g per end
     spec = troesch(6.0)
-    calls = {"jac": 0, "residual": 0}
+    calls = {"jac": 0, "residual": 0, "bc_residual": 0, "g": 0}
 
     def jac(u, t):
         calls["jac"] += 1
         return spec.system.jac(u, t)
 
+    def g(ua, ub):
+        calls["g"] += 1
+        return spec.bc.residual(ua, ub)
+
     counted = OdeSystem(2, spec.system.rhs, jac=jac)
     problem = _three_zone_problem(counted)
+    problem.bc = BoundaryConditions(g, spec.bc.pins)
     residual = _Sweep.interval_residual
+    bc_residual = _Sweep.bc_residual
 
     def interval_residual(self, QL, QR):
         calls["residual"] += 1
         return residual(self, QL, QR)
 
+    def counted_bc_residual(self, q0, qm):
+        calls["bc_residual"] += 1
+        return bc_residual(self, q0, qm)
+
     monkeypatch.setattr(_Sweep, "interval_residual", interval_residual)
+    monkeypatch.setattr(_Sweep, "bc_residual", counted_bc_residual)
     monkeypatch.setattr(trapezoid, "_JAC_CHUNK", 4)
     assemble_jacobian(problem)
     zones = len(problem.mesh.zones)
@@ -166,6 +188,8 @@ def test_jacobian_work_count(monkeypatch):
     chunks = -(-problem.mesh.knot_count // 4)
     assert calls["residual"] == 0
     assert 0 < calls["jac"] <= (zones + switch_pairs) * chunks
+    assert calls["bc_residual"] == 0
+    assert calls["g"] == 4 * (problem.mesh.n + 1)
 
 
 def test_jacobian_independent_of_chunking(monkeypatch):

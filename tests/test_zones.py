@@ -102,21 +102,22 @@ def test_bisect_zones_match_per_interval_reference(labels, seed):
     assert out.zones == _rle(ref)
 
 
-@pytest.mark.parametrize("zones", [
-    [(IDENTITY, 0, 2), (FP1, 3, 5)],                  # gap
-    [(IDENTITY, 1, 5)],                               # gap at the start
-    [(IDENTITY, 0, 3), (FP1, 2, 5)],                  # overlap
-    [(IDENTITY, 0, 0), (FP1, 0, 5)],                  # empty run
-    [(IDENTITY, 0, 2), (FP1, 2, 2), (IDENTITY, 2, 5)],
-    [(IDENTITY, 0, 2), (IDENTITY, 2, 5)],             # equal neighbours
-    [(IDENTITY, 0, 2), (FP1, 2, 4)],                  # short coverage
-    [(IDENTITY, 0, 6)],                               # too long
+@pytest.mark.parametrize("knots, zones", [
+    (6, [(IDENTITY, 0, 2), (FP1, 3, 5)]),             # gap
+    (6, [(IDENTITY, 1, 5)]),                          # gap at the start
+    (6, [(IDENTITY, 0, 3), (FP1, 2, 5)]),             # overlap
+    (6, [(IDENTITY, 0, 0), (FP1, 0, 5)]),             # empty run
+    (6, [(IDENTITY, 0, 2), (FP1, 2, 2), (IDENTITY, 2, 5)]),
+    (6, [(IDENTITY, 0, 2), (IDENTITY, 2, 5)]),        # equal neighbours
+    (6, [(IDENTITY, 0, 2), (FP1, 2, 4)]),             # short coverage
+    (6, [(IDENTITY, 0, 6)]),                          # too long
+    (1, []),                                          # no interval
 ], ids=["gap", "late-start", "overlap", "empty", "empty-middle",
-        "equal-neighbours", "short", "long"])
-def test_mesh_rejects_malformed_zones(zones):
-    T = np.linspace(0.0, 1.0, 6)
+        "equal-neighbours", "short", "long", "no-interval"])
+def test_mesh_rejects_malformed_zones(knots, zones):
+    T = np.linspace(0.0, 1.0, knots)
     with pytest.raises(ConfigError):
-        EvolvingMesh(np.column_stack([T, np.ones(6)]), T, zones)
+        EvolvingMesh(np.column_stack([T, np.ones(knots)]), T, zones)
 
 
 def test_mesh_defaults_to_one_identity_zone():
