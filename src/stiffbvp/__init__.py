@@ -28,8 +28,8 @@ from .strategy import (AutoStrategy, GrowthZoneStrategy, IdentityStrategy,
                        SteepGrowthZoneStrategy, StiffnessConfig,
                        TransformStrategy, select_flips, select_swap_index,
                        stiffness_measure, strategy_by_name)
-from .transform import (IDENTITY, NaturalState, Transform, apply, flip_system,
-                        map_state, state_jacobian, swap_system, unmap_state)
+from .transform import (IDENTITY, Transform, apply, flip_system, map_state,
+                        state_jacobian, swap_system, unmap_state)
 from .trapezoid import (BlockJacobian, NewtonConfig, SegmentedProblem,
                         Solution, assemble_jacobian, assemble_residual,
                         newton_solve, solve_linear_block)

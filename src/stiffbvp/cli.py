@@ -67,16 +67,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, parser):
-    """Fill values from the key=value file for flags left at their default."""
-    if args.config is None:
-        return
+def _with_config_file(parser, args, argv) -> argparse.Namespace:
+    """Re-parse with the --config file's key=value lines as flags ahead of
+    the command line's: argparse types and checks each value, and an
+    explicit flag wins because the last one given does."""
     try:
         with open(args.config) as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
-    file_vals = {}
+    file_args = []
     for ln, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -84,23 +84,12 @@ def _apply_config_file(args: argparse.Namespace, parser):
         if "=" not in line:
             raise ConfigError(f"config line {ln}: expected key=value")
         key, val = (s.strip() for s in line.split("=", 1))
-        file_vals[key.replace("-", "_")] = val
-    defaults = {a.dest: a.default for a in parser._actions}
-    casts = {"lam": float, "lambda": float, "lambda0": float,
-             "delta_lambda": float, "lambda_cap": float, "h_min": float,
-             "h_max": float, "M": float, "tol": float, "h0": float}
-    for key, val in file_vals.items():
-        dest = "lam" if key == "lambda" else key
-        if not hasattr(args, dest):
-            raise ConfigError(f"unknown config key {key!r}")
-        # an explicitly passed flag keeps its value
-        if getattr(args, dest) != defaults.get(dest):
-            continue
-        cast = casts.get(dest, str)
-        try:
-            setattr(args, dest, cast(val))
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: bad value {val!r}")
+        file_args.append(f"--{key.replace('_', '-')}={val}")
+    try:
+        return parser.parse_args([args.command] + file_args + argv[1:])
+    except SystemExit:
+        raise ConfigError(f"config file {args.config} sets a bad option "
+                          "(see above)")
 
 
 def _refinement(args) -> RefinementConfig:
@@ -179,12 +168,14 @@ def _cmd_errors(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
     try:
-        _apply_config_file(args, parser)
+        if args.config is not None:
+            args = _with_config_file(parser, args, argv)
         if args.command == "solve":
             if args.problem == "troesch" and args.lam is None:
                 raise ConfigError("troesch needs --lambda")

@@ -57,6 +57,10 @@ class EvolvingMesh:
             if k and tr == self.zones[k - 1][0]:
                 raise ConfigError(
                     f"zones {k - 1} and {k} carry the same transform")
+            if tr.max_index > self.n:
+                raise ConfigError(
+                    f"zone {k} transform {tr.label()} indexes a component "
+                    f"outside 1..{self.n}")
             stop = e
         if stop != m:
             raise ConfigError(f"zones cover {stop} of {m} intervals")
@@ -84,7 +88,7 @@ class EvolvingMesh:
         """
         out = np.empty(self.interval_count)
         for tr, s, e in self.zones:
-            tau = map_state(tr, self.U[s:e + 1].T, self.T[s:e + 1]).tau
+            _, tau = map_state(tr, self.U[s:e + 1].T, self.T[s:e + 1])
             out[s:e] = np.diff(tau)
         return out if signed else np.abs(out)
 
@@ -226,9 +230,9 @@ def _split_mask(mesh: EvolvingMesh, system: OdeSystem,
                 cfg: RefinementConfig) -> np.ndarray:
     split = np.empty(mesh.interval_count, dtype=bool)
     for tr, s, e in mesh.zones:
-        state = map_state(tr, mesh.U[s:e + 1].T, mesh.T[s:e + 1])
-        h = np.abs(np.diff(state.tau))
-        f = eval_rhs_batch(apply(tr, system), state.q, state.tau)
+        q, tau = map_state(tr, mesh.U[s:e + 1].T, mesh.T[s:e + 1])
+        h = np.abs(np.diff(tau))
+        f = eval_rhs_batch(apply(tr, system), q, tau)
         d = np.max(np.abs(np.diff(f, axis=1)), axis=0)
         over_max = h > cfg.h_max * (1 + 1e-12)
         rough = (d >= 2 * cfg.M) & (h >= 2 * cfg.h_min * (1 - 1e-12))

@@ -46,6 +46,11 @@ class Transform:
     def is_identity(self) -> bool:
         return self.swap is None and not self.flips
 
+    @property
+    def max_index(self) -> int:
+        """Largest component index the transform acts on; 0 for I."""
+        return max(self.flips | {self.swap or 0})
+
     def label(self) -> str:
         """Compact text form: "I", "SP1.FP2", "SP2", "FP2", ..."""
         if self.is_identity:
@@ -80,175 +85,124 @@ class Transform:
 IDENTITY = Transform()
 
 
-@dataclass
-class NaturalState:
-    """State of an interval in its own (transformed) variables."""
+def apply(transform: Transform, system: OdeSystem) -> OdeSystem:
+    """The system in the transform's natural variables (v, s).
 
-    q: np.ndarray
-    tau: float
+    F is evaluated once, at u_l = 1/v_l for each flip l and, for a k-swap,
+    at u_k = s with t = v_k (otherwise t = s).  The flips give
+    H_l = -F_l * v_l**2 (H_i = F_i elsewhere), and a k-swap then divides by
+    H_k: G = H / H_k with G_k = 1 / H_k.  Evaluating at v_l = 0 or where
+    H_k = 0 raises EvaluationError.  The result has a ``jac``, composed by
+    the chain rule, when ``system`` has one.
+    """
+    if transform.is_identity:
+        return system
+    n, k, flips = system.n, transform.swap, sorted(transform.flips)
+    if transform.max_index > n:
+        raise ValueError(f"{transform.label()} indexes a component outside "
+                         f"1..{n}")
+    ki = None if k is None else k - 1
+    # columns of [dF/du | dF/dt] in the swapped variables: position k now
+    # holds the old t, the independent variable the old u_k
+    perm = list(range(n + 1))
+    if ki is not None:
+        perm[ki], perm[n] = n, ki
+
+    def evaluate(v, s):
+        """v as an array, F's arguments (u, t), F(u, t) and H."""
+        v = np.asarray(v, dtype=float)
+        u, t = v.copy(), s
+        if ki is not None:
+            u[ki], t = s, v[ki]
+        for l in flips:
+            if np.any(v[l - 1] == 0.0):
+                raise EvaluationError(
+                    f"flip component w_{l} vanished", component=l)
+            u[l - 1] = 1.0 / v[l - 1]
+        f = np.asarray(system.rhs(u, t), dtype=float)
+        h = f.copy()
+        for l in flips:
+            h[l - 1] = -f[l - 1] * v[l - 1] * v[l - 1]
+        if ki is not None and np.any(h[ki] == 0.0):
+            raise EvaluationError(
+                f"swap denominator F_{k} vanished", component=k)
+        return v, u, t, f, h
+
+    def rhs(v, s):
+        h = evaluate(v, s)[-1]
+        if ki is None:
+            return h
+        out = h / h[ki]
+        out[ki] = 1.0 / h[ki]
+        return out
+
+    def jac(v, s):
+        v, u, t, f, h = evaluate(v, s)
+        df = np.array(system.jac(u, t), dtype=float)
+        for l in flips:
+            li = l - 1
+            df[:, li] *= -u[li] * u[li]             # d(1/v_l)/dv_l
+            df[li] *= -v[li] * v[li]                # H_l = -F_l * v_l**2
+            df[li, li] -= 2.0 * f[li] * v[li]
+        if ki is None:
+            return df
+        df = df[:, perm]
+        # G_j = H_j / H_k for j != k, G_k = 1 / H_k
+        out = (df - (h / h[ki])[:, None] * df[ki]) / h[ki]
+        out[ki] = -df[ki] / h[ki] / h[ki]
+        return out
+
+    return OdeSystem(n, rhs, jac=jac if system.jac is not None else None,
+                     params=system.params,
+                     name=f"{transform.label()}({system.name or '?'})")
 
 
 def swap_system(system: OdeSystem, k: int) -> OdeSystem:
-    """Apply the k-swap operator; the result's independent variable is the
-    original k-th component.  Evaluating where F_k = 0 raises
-    EvaluationError (the swap is invalid there).  The result has a ``jac``,
-    composed by the chain rule, when ``system`` has one."""
-    if not (1 <= k <= system.n):
-        raise ValueError(f"swap index {k} outside 1..{system.n}")
-    ki = k - 1
-
-    def rhs(v, u):
-        v = np.asarray(v, dtype=float)
-        args = v.copy()
-        args[ki] = u
-        f = np.asarray(system.rhs(args, v[ki]), dtype=float)
-        fk = f[ki]
-        if np.any(fk == 0.0):
-            raise EvaluationError(
-                f"swap denominator F_{k} vanished", component=k)
-        out = f / fk
-        out[ki] = 1.0 / fk
-        return out
-
-    # columns of [dF/du | dF/dt] in the swapped variables: position k now
-    # holds the old t, the independent variable the old u_k
-    perm = list(range(system.n + 1))
-    perm[ki], perm[system.n] = system.n, ki
-
-    def jac(v, u):
-        v = np.asarray(v, dtype=float)
-        args = v.copy()
-        args[ki] = u
-        f = np.asarray(system.rhs(args, v[ki]), dtype=float)
-        fk = f[ki]
-        if np.any(fk == 0.0):
-            raise EvaluationError(
-                f"swap denominator F_{k} vanished", component=k)
-        df = np.asarray(system.jac(args, v[ki]), dtype=float)[:, perm]
-        # G_j = F_j / F_k for j != k, G_k = 1 / F_k
-        out = (df - (f / fk)[:, None] * df[ki]) / fk
-        out[ki] = -df[ki] / fk / fk
-        return out
-
-    return OdeSystem(system.n, rhs,
-                     jac=jac if system.jac is not None else None,
-                     params=system.params,
-                     name=f"SP{k}({system.name or '?'})")
+    """The k-swap alone; see ``apply``."""
+    return apply(Transform(swap=k), system)
 
 
 def flip_system(system: OdeSystem, l: int) -> OdeSystem:
-    """Apply the l-flip operator (u_l -> 1/w_l).  Evaluating at w_l = 0
-    raises EvaluationError.  The result has a ``jac``, composed by the
-    chain rule, when ``system`` has one."""
-    if not (1 <= l <= system.n):
-        raise ValueError(f"flip index {l} outside 1..{system.n}")
-    li = l - 1
-
-    def rhs(w, t):
-        w = np.asarray(w, dtype=float)
-        wl = w[li]
-        if np.any(wl == 0.0):
-            raise EvaluationError(
-                f"flip component w_{l} vanished", component=l)
-        args = w.copy()
-        args[li] = 1.0 / wl
-        f = np.asarray(system.rhs(args, t), dtype=float)
-        out = f.copy()
-        out[li] = -f[li] * wl * wl
-        return out
-
-    def jac(w, t):
-        w = np.asarray(w, dtype=float)
-        wl = w[li]
-        if np.any(wl == 0.0):
-            raise EvaluationError(
-                f"flip component w_{l} vanished", component=l)
-        args = w.copy()
-        args[li] = 1.0 / wl
-        f = np.asarray(system.rhs(args, t), dtype=float)
-        out = np.array(system.jac(args, t), dtype=float)
-        out[:, li] *= -args[li] * args[li]      # d(1/w_l)/dw_l
-        out[li] *= -wl * wl                     # H_l = -F_l * w_l**2
-        out[li, li] -= 2.0 * f[li] * wl
-        return out
-
-    return OdeSystem(system.n, rhs,
-                     jac=jac if system.jac is not None else None,
-                     params=system.params,
-                     name=f"FP{l}({system.name or '?'})")
+    """The l-flip alone; see ``apply``."""
+    return apply(Transform(flips={l}), system)
 
 
-def apply(transform: Transform, system: OdeSystem) -> OdeSystem:
-    """Compose the transform's flips and swap into a single system.
+def map_state(transform: Transform, x, s):
+    """The transform's change of variables on an extended state (x, s).
 
-    Flips are applied first, then the swap; the order does not matter
-    because the operators commute.
+    Returns (y, r): y_l = 1/x_l for each flip l and, for a k-swap, x_k and
+    s exchanged (y_k = s, r = x_k); otherwise r = s.  The map is an
+    involution, so it takes original (u, t) to natural (q, tau) and
+    natural back to original; ``unmap_state`` is the same function.
+    Works on a single state (x shape (n,), scalar s) or on a batch
+    (x shape (n, B), s shape (B,)).  A zero flipped component raises
+    DomainError.
     """
-    out = system
-    for l in sorted(transform.flips):
-        out = flip_system(out, l)
-    if transform.swap is not None:
-        out = swap_system(out, transform.swap)
-    return out
-
-
-def map_state(transform: Transform, u, t):
-    """Map an original state (u, t) to the transform's natural variables.
-
-    Works on a single state (u shape (n,), scalar t) or on a batch
-    (u shape (n, B), t shape (B,)).  Returns NaturalState(q, tau).
-    """
-    u = np.asarray(u, dtype=float)
-    q = u.copy()
+    x = np.asarray(x, dtype=float)
+    y = x.copy()
     for l in transform.flips:
-        ul = u[l - 1]
-        if np.any(ul == 0.0):
-            raise DomainError(f"cannot flip zero component u_{l}")
-        q[l - 1] = 1.0 / ul
+        xl = x[l - 1]
+        if np.any(xl == 0.0):
+            raise DomainError(f"cannot flip zero component x_{l}")
+        y[l - 1] = 1.0 / xl
     if transform.swap is not None:
         ki = transform.swap - 1
-        tau = np.array(u[ki], dtype=float, copy=True)
-        q[ki] = t
+        r = np.array(x[ki], dtype=float, copy=True)
+        y[ki] = s
     else:
-        tau = np.array(t, dtype=float, copy=True)
-    if tau.ndim == 0:
-        tau = float(tau)
-    return NaturalState(q=q, tau=tau)
+        r = np.array(s, dtype=float, copy=True)
+    if r.ndim == 0:
+        r = float(r)
+    return y, r
 
 
-def unmap_state(transform: Transform, q, tau):
-    """Inverse of map_state: recover (u, t) from natural variables.
-
-    Accepts the same single-state or batch shapes as map_state.
-    """
-    q = np.asarray(q, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    u = q.copy()
-    if transform.swap is not None:
-        ki = transform.swap - 1
-        t = np.array(q[ki], dtype=float, copy=True)
-        u[ki] = tau
-    else:
-        t = tau.copy()
-    for l in transform.flips:
-        ql = q[l - 1]
-        if np.any(ql == 0.0):
-            raise DomainError(f"cannot unflip zero component q_{l}")
-        u[l - 1] = 1.0 / ql
-    if t.ndim == 0:
-        t = float(t)
-    return u, t
+unmap_state = map_state
 
 
 def state_jacobian(transform: Transform, x):
-    """Jacobian of map_state at (x, s) with respect to (x, s).
-
-    The map acts on the extended state (x, s) as reciprocals of the flipped
-    components plus, for a swap, an exchange of x_k with s; it does not
-    depend on s.  Both parts are involutions on disjoint coordinates, so
-    unmap_state is the same map and this is also its Jacobian at natural
-    variables (x, s).  Shape (n+1, n+1), or (n+1, n+1, B) for a batch x of
-    shape (n, B).
+    """Jacobian of map_state at (x, s) with respect to (x, s), which is
+    also that of unmap_state: the two are one map.  Shape (n+1, n+1), or
+    (n+1, n+1, B) for a batch x of shape (n, B).
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]

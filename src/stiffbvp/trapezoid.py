@@ -175,9 +175,9 @@ class _Sweep:
         self.tau = np.empty(self.m + 1)
         self.Q0 = np.empty((self.m + 1, self.n))
         for owner, knots in self.owned:
-            st = map_state(owner, mesh.U[knots].T, mesh.T[knots])
-            self.Q0[knots] = st.q.T
-            self.tau[knots] = st.tau
+            q, self.tau[knots] = map_state(owner, mesh.U[knots].T,
+                                           mesh.T[knots])
+            self.Q0[knots] = q.T
 
     # -- residual ---------------------------------------------------------
 
@@ -193,12 +193,11 @@ class _Sweep:
 
     def switch_states(self, QL: np.ndarray):
         """Left knots at zone switches, re-expressed in their interval's
-        variables: (owner, transform, interval index array, u, t,
-        NaturalState) per switch, with (u, t) the original variables in
-        between."""
+        variables: (owner, transform, interval index array, u, t, q, tau)
+        per switch, with (u, t) the original variables in between."""
         for owner, tr, idx in self.switches:
             u, t = unmap_state(owner, QL[idx].T, self.tau[idx])
-            yield owner, tr, idx, u, t, map_state(tr, u, t)
+            yield (owner, tr, idx, u, t) + map_state(tr, u, t)
 
     def natural_steps(self, tauL: np.ndarray) -> np.ndarray:
         """tau_{i+1} - tau_i per interval from the left-knot taus."""
@@ -218,9 +217,9 @@ class _Sweep:
         """
         qL = QL.copy()
         tauL = self.tau[:-1].copy()
-        for *_, idx, _, _, st in self.switch_states(QL):
-            qL[idx] = st.q.T
-            tauL[idx] = st.tau
+        for *_, idx, _, _, q, tau in self.switch_states(QL):
+            qL[idx] = q.T
+            tauL[idx] = tau
         dtau = self.natural_steps(tauL)
         out = np.empty((self.m, self.n))
         for tr, s, e in self.zones:
@@ -307,8 +306,8 @@ class _Sweep:
         n, m = self.n, self.m
         switches = list(self.switch_states(Q[:-1]))
         tauL = self.tau[:-1].copy()
-        for *_, idx, _, _, st in switches:
-            tauL[idx] = st.tau
+        for *_, idx, _, _, _, tau in switches:
+            tauL[idx] = tau
         inv = 1.0 / self.natural_steps(tauL)
         A = np.empty((m, n, n))
         B = np.empty((m, n, n))
@@ -323,13 +322,13 @@ class _Sweep:
         diag = np.arange(n)
         A[:, diag, diag] -= inv[:, None]
         B[:, diag, diag] += inv[:, None]
-        for owner, tr, idx, u, t, s in switches:
+        for owner, tr, idx, u, t, q, tau in switches:
             qR, tauR = Q[idx + 1], self.tau[idx + 1]
             near = np.vstack([qR.T, tauR])
             dr = -0.5 * np.moveaxis(
-                self.system_jacobian(tr, s.q, s.tau, near), -1, 0)
+                self.system_jacobian(tr, q, tau, near), -1, 0)
             dr[:, diag, diag] -= inv[idx, None]
-            dr[:, :, n] += (qR - s.q.T) * inv[idx, None] ** 2
+            dr[:, :, n] += (qR - q.T) * inv[idx, None] ** 2
             dphi = np.einsum("ijb,jkb->bik", state_jacobian(tr, u),
                              state_jacobian(owner, Q[idx].T))
             A[idx] = dr @ dphi[:, :, :n]

@@ -52,6 +52,23 @@ def test_explicit_flag_beats_config_file(tmp_path):
     assert code == 0
 
 
+def test_config_file_sets_a_flag_with_a_default(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 3\nh0 = 0.05\n")
+    out = tmp_path / "solution.csv"
+    assert main(["solve", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    with open(out, newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 21
+
+
+def test_config_file_value_outside_choices(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("stop = bogus\n")
+    assert main(["srn", "--config", str(cfg), "--lambda-cap", "4",
+                 "--quiet"]) == 3
+
+
 def test_config_file_bad_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("no_such_option = 1\n")

@@ -22,6 +22,22 @@ def _quadratic_system():
     return OdeSystem(2, rhs, name="quadratic")
 
 
+def _cubic_system():
+    # 3d system with an analytic jac; F_2 > 0, so a 2-swap is valid anywhere
+    def rhs(u, t):
+        return np.stack([u[0] * u[1] + t, 2.0 + u[0] ** 2 + u[2] ** 2,
+                         u[1] * u[2] - t ** 2])
+
+    def jac(u, t):
+        J = np.zeros((3, 4) + np.shape(u)[1:])
+        J[0, 0], J[0, 1], J[0, 3] = u[1], u[0], 1.0
+        J[1, 0], J[1, 2] = 2.0 * u[0], 2.0 * u[2]
+        J[2, 1], J[2, 2], J[2, 3] = u[2], u[1], -2.0 * np.asarray(t)
+        return J
+
+    return OdeSystem(3, rhs, jac=jac, name="cubic")
+
+
 # -- Transform value type -------------------------------------------------
 
 def test_identity_flags():
@@ -201,20 +217,28 @@ def test_bad_indices_rejected():
 # every transform the strategies emit
 STRATEGY_TRANSFORMS = ("I", "SP1", "SP2", "FP2", "SP1.FP2")
 
+# (transform label, system) for the composed Jacobian tests: the strategy
+# transforms on Troesch's system plus two flips on a 3d system
+COMPOSED_CASES = (
+    [pytest.param(label, troesch(5.0).system, id=label)
+     for label in STRATEGY_TRANSFORMS]
+    + [pytest.param(label, _cubic_system(), id=f"{label}-cubic")
+       for label in ("FP1.FP3", "SP2.FP1.FP3")])
 
-def _troesch_states(count):
-    """Random states away from the zeros of u1 and u2, where the swaps and
-    the flip are invalid."""
-    size = (2, count)
+
+def _troesch_states(count, n=2):
+    """Random states away from the zeros of every component, where the
+    swaps and the flips are invalid."""
+    size = (n, count)
     return (RNG.uniform(0.05, 1.5, size=size) * RNG.choice([-1.0, 1.0], size),
             RNG.uniform(0.0, 1.0, size=count))
 
 
-@pytest.mark.parametrize("label", STRATEGY_TRANSFORMS)
-def test_composed_jacobian_matches_fd(label):
-    tsys = apply(Transform.parse(label), troesch(5.0).system)
+@pytest.mark.parametrize("label, system", COMPOSED_CASES)
+def test_composed_jacobian_matches_fd(label, system):
+    tsys = apply(Transform.parse(label), system)
     assert tsys.jac is not None
-    X, T = _troesch_states(50)
+    X, T = _troesch_states(50, system.n)
     for b in range(X.shape[1]):
         J = eval_jacobian_batch(tsys, X[:, b:b + 1], T[b:b + 1])[..., 0]
         J_fd = fd_jacobian(tsys, X[:, b], T[b])
@@ -222,14 +246,33 @@ def test_composed_jacobian_matches_fd(label):
         assert np.max(np.abs(J - J_fd) / scale) <= 1e-6
 
 
-@pytest.mark.parametrize("label", STRATEGY_TRANSFORMS)
-def test_composed_jacobian_batch_matches_pointwise(label):
-    tsys = apply(Transform.parse(label), troesch(5.0).system)
-    X, T = _troesch_states(9)
+@pytest.mark.parametrize("label, system", COMPOSED_CASES)
+def test_composed_jacobian_batch_matches_pointwise(label, system):
+    tsys = apply(Transform.parse(label), system)
+    X, T = _troesch_states(9, system.n)
     batch = tsys.jac(X, T)
-    assert batch.shape == (2, 3, 9)
+    assert batch.shape == (system.n, system.n + 1, 9)
     for b in range(9):
         np.testing.assert_array_equal(batch[..., b], tsys.jac(X[:, b], T[b]))
+
+
+def test_composed_system_evaluates_inner_rhs_once():
+    inner = troesch(5.0).system
+    calls = {"rhs": 0, "jac": 0}
+
+    def counted(name):
+        def f(u, t):
+            calls[name] += 1
+            return getattr(inner, name)(u, t)
+        return f
+
+    tsys = apply(Transform(swap=1, flips={2}),
+                 OdeSystem(2, counted("rhs"), jac=counted("jac")))
+    X, T = _troesch_states(4)
+    tsys.jac(X, T)
+    assert calls == {"rhs": 1, "jac": 1}
+    tsys.rhs(X, T)
+    assert calls == {"rhs": 2, "jac": 1}
 
 
 def test_composed_jacobian_needs_inner_jacobian():
@@ -266,9 +309,10 @@ def test_state_jacobian_matches_fd(label):
             zp, zm = z.copy(), z.copy()
             zp[j] += h
             zm[j] -= h
-            sp, sm = map_state(tr, zp[:2], zp[2]), map_state(tr, zm[:2], zm[2])
-            J_fd[:, j] = (np.append(sp.q, sp.tau)
-                          - np.append(sm.q, sm.tau)) / (zp[j] - zm[j])
+            qp, taup = map_state(tr, zp[:2], zp[2])
+            qm, taum = map_state(tr, zm[:2], zm[2])
+            J_fd[:, j] = (np.append(qp, taup)
+                          - np.append(qm, taum)) / (zp[j] - zm[j])
         np.testing.assert_allclose(batch[..., b], J_fd, rtol=1e-8, atol=1e-12)
         np.testing.assert_array_equal(state_jacobian(tr, X[:, b]),
                                       batch[..., b])
@@ -277,17 +321,17 @@ def test_state_jacobian_matches_fd(label):
 # -- state mapping --------------------------------------------------------
 
 def test_map_state_examples():
-    s = map_state(Transform(swap=1, flips={2}), np.array([0.5, 4.0]), 0.9)
-    np.testing.assert_allclose(s.q, [0.9, 0.25])
-    assert s.tau == 0.5
+    q, tau = map_state(Transform(swap=1, flips={2}), np.array([0.5, 4.0]), 0.9)
+    np.testing.assert_allclose(q, [0.9, 0.25])
+    assert tau == 0.5
 
-    s = map_state(Transform(swap=2), np.array([0.3, 7.0]), 0.1)
-    np.testing.assert_allclose(s.q, [0.3, 0.1])
-    assert s.tau == 7.0
+    q, tau = map_state(Transform(swap=2), np.array([0.3, 7.0]), 0.1)
+    np.testing.assert_allclose(q, [0.3, 0.1])
+    assert tau == 7.0
 
-    s = map_state(IDENTITY, np.array([1.5, -2.0]), 0.25)
-    np.testing.assert_array_equal(s.q, [1.5, -2.0])
-    assert s.tau == 0.25
+    q, tau = map_state(IDENTITY, np.array([1.5, -2.0]), 0.25)
+    np.testing.assert_array_equal(q, [1.5, -2.0])
+    assert tau == 0.25
 
 
 def test_unmap_state_examples():
@@ -323,8 +367,8 @@ def test_map_unmap_round_trip(u1, u2, t, swap, flips):
     # those states elsewhere, the round trip is only meaningful away from 0
     if any(abs(u[l - 1]) < 1e-8 for l in flips):
         return
-    s = map_state(tr, u, t)
-    u_back, t_back = unmap_state(tr, np.asarray(s.q), s.tau)
+    q, tau = map_state(tr, u, t)
+    u_back, t_back = unmap_state(tr, np.asarray(q), tau)
     np.testing.assert_allclose(u_back, u, rtol=1e-15, atol=0)
     assert t_back == t
 
@@ -333,8 +377,8 @@ def test_map_state_batch_matches_scalar():
     tr = Transform(swap=1, flips={2})
     U = RNG.uniform(0.5, 2.0, size=(2, 7))
     T = RNG.uniform(0, 1, size=7)
-    batch = map_state(tr, U, T)
+    batch_q, batch_tau = map_state(tr, U, T)
     for b in range(7):
-        single = map_state(tr, U[:, b], T[b])
-        np.testing.assert_array_equal(np.asarray(batch.q)[:, b], single.q)
-        assert np.asarray(batch.tau)[b] == single.tau
+        q, tau = map_state(tr, U[:, b], T[b])
+        np.testing.assert_array_equal(np.asarray(batch_q)[:, b], q)
+        assert np.asarray(batch_tau)[b] == tau

@@ -112,8 +112,9 @@ def test_bisect_zones_match_per_interval_reference(labels, seed):
     (6, [(IDENTITY, 0, 2), (FP1, 2, 4)]),             # short coverage
     (6, [(IDENTITY, 0, 6)]),                          # too long
     (1, []),                                          # no interval
+    (6, [(IDENTITY, 0, 2), (Transform(flips={3}), 2, 5)]),  # FP3 with n=2
 ], ids=["gap", "late-start", "overlap", "empty", "empty-middle",
-        "equal-neighbours", "short", "long", "no-interval"])
+        "equal-neighbours", "short", "long", "no-interval", "index-above-n"])
 def test_mesh_rejects_malformed_zones(knots, zones):
     T = np.linspace(0.0, 1.0, knots)
     with pytest.raises(ConfigError):
