@@ -52,6 +52,7 @@ class SrnConfig:
             raise ConfigError("delta_lambda must be positive")
         if not (self.lambda_cap > self.lambda0):
             raise ConfigError("lambda_cap must exceed lambda0")
+        _check_step(self.h0)
 
 
 @dataclass
@@ -61,9 +62,16 @@ class SrnResult:
     per_lambda: List[dict]
 
 
+def _check_step(h: float):
+    if not (math.isfinite(h) and h > 0):
+        raise ConfigError(f"cold-start step h0 must be finite and positive, "
+                          f"got {h!r}")
+
+
 def uniform_mesh(spec: ProblemSpec, h: float) -> EvolvingMesh:
     """Cold-start guess: uniform knots, linear first component between the
     pinned endpoint values."""
+    _check_step(h)
     a, b = spec.domain
     m = max(2, int(round((b - a) / h)))
     ua = spec.bc.pins.get(("a", 1), (None, 0.0))[1]
@@ -185,6 +193,9 @@ def run_continuation(family: Callable[[float], ProblemSpec],
         oracle = ContinuationOracle(family, progress=cfg.progress)
     h_test = cfg.refinement.h_min if cfg.refinement is not None else cfg.h0
     h_ref = h_test / cfg.oracle_fineness
+    # lambda0 + k*delta_lambda, not a running sum, so that no rounding
+    # drift creeps into lambda
+    step = 0
     lam = cfg.lambda0
     warm = None
     rows: List[dict] = []
@@ -218,7 +229,8 @@ def run_continuation(family: Callable[[float], ProblemSpec],
                      "newton_iters": sol.iterations})
         srn = lam
         warm = sol.mesh
-        lam = lam + cfg.delta_lambda
+        step += 1
+        lam = cfg.lambda0 + step * cfg.delta_lambda
     return SrnResult(srn=srn, stop_reason=reason, per_lambda=rows)
 
 

@@ -107,7 +107,9 @@ class AutoStrategy(TransformStrategy):
     equation is still stiff (largest remaining component over the swap
     denominator reaches theta), additionally flip the components that are
     large in absolute value at both ends.  On boundary intervals only
-    components pinned by a Dirichlet condition at that end may be swapped.
+    components pinned by a Dirichlet condition at that end may be swapped,
+    and no component equal at both ends of the interval may be: its swap
+    would make the natural step zero.
     """
 
     name = "auto"
@@ -120,17 +122,18 @@ class AutoStrategy(TransformStrategy):
         F = eval_rhs_batch(system, mesh.U.T, mesh.T)      # (n, m+1)
         fL, fR = F[:, :-1], F[:, 1:]
         meas = stiffness_measure(fL, fR, self.cfg)        # (n, m)
+        moving = mesh.U[:-1] != mesh.U[1:]                # (m, n)
         out: List[Transform] = []
         for i in range(m):
             col = meas[:, i]
             if col.max() < self.cfg.theta:
                 out.append(IDENTITY)
                 continue
-            allowed = None
+            allowed = {int(j) + 1 for j in np.flatnonzero(moving[i])}
             if i == 0:
-                allowed = {c for (s, c) in bc.pins if s == "a"}
+                allowed &= {c for (s, c) in bc.pins if s == "a"}
             elif i == m - 1:
-                allowed = {c for (s, c) in bc.pins if s == "b"}
+                allowed &= {c for (s, c) in bc.pins if s == "b"}
             k = select_swap_index(col, allowed)
             if k is None:
                 out.append(IDENTITY)

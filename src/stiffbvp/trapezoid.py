@@ -167,10 +167,6 @@ class _Sweep:
         # owns the knots after its start through its stop
         self.owned = [(tr, slice(s + 1 if k else 0, e + 1))
                       for k, (tr, s, e) in enumerate(self.zones)]
-        # the start of every later zone is a switch: a left knot owned by
-        # the previous zone
-        self.switches = [(prev[0], tr, np.array([s])) for prev, (tr, s, _)
-                         in zip(self.zones, self.zones[1:])]
         # freeze taus and collect the free coordinates
         self.tau = np.empty(self.m + 1)
         self.Q0 = np.empty((self.m + 1, self.n))
@@ -191,43 +187,39 @@ class _Sweep:
             T[knots] = t
         return U, T
 
-    def switch_states(self, QL: np.ndarray):
-        """Left knots at zone switches, re-expressed in their interval's
-        variables: (owner, transform, interval index array, u, t, q, tau)
-        per switch, with (u, t) the original variables in between."""
-        for owner, tr, idx in self.switches:
-            u, t = unmap_state(owner, QL[idx].T, self.tau[idx])
-            yield (owner, tr, idx, u, t) + map_state(tr, u, t)
+    def zone_knots(self, Q: np.ndarray):
+        """Knots s..e of every zone in that zone's variables, one zone at a
+        time: (transform, s, e, q, tau) with q of shape (n, e-s+1).
 
-    def natural_steps(self, tauL: np.ndarray) -> np.ndarray:
-        """tau_{i+1} - tau_i per interval from the left-knot taus."""
-        dtau = self.tau[1:] - tauL
+        The start of every later zone is a switch: its knot is owned by
+        the previous zone and is re-expressed once, through the original
+        variables.  All switches are re-expressed and every natural step is
+        checked before the first zone is yielded.
+        """
+        heads = [map_state(tr, *unmap_state(prev, Q[s], self.tau[s]))
+                 for (prev, _, _), (tr, s, _) in zip(self.zones,
+                                                      self.zones[1:])]
+        dtau = np.diff(self.tau)
+        for (_, s, _), (_, tau) in zip(self.zones[1:], heads):
+            dtau[s] = self.tau[s + 1] - tau
         if np.any(dtau == 0.0):
             raise SingularStepError(
                 f"zero natural step on interval {int(np.argmax(dtau == 0.0))}")
-        return dtau
+        for (tr, s, e), head in zip(self.zones, [None] + heads):
+            q, tau = Q[s:e + 1].T, self.tau[s:e + 1]
+            if head is not None:
+                q, tau = q.copy(), tau.copy()
+                q[:, 0], tau[0] = head
+            yield tr, s, e, q, tau
 
-    def interval_residual(self, QL: np.ndarray, QR: np.ndarray) -> np.ndarray:
-        """Residuals of all interval equations, shape (m, n).
-
-        ``QL``/``QR`` hold the free coordinates of each interval's left
-        and right knot.  Right knots are owned by their interval, so their
-        coordinates are already natural; a left knot at a transform switch
-        is re-expressed through the original variables.
-        """
-        qL = QL.copy()
-        tauL = self.tau[:-1].copy()
-        for *_, idx, _, _, q, tau in self.switch_states(QL):
-            qL[idx] = q.T
-            tauL[idx] = tau
-        dtau = self.natural_steps(tauL)
+    def interval_residual(self, Q: np.ndarray) -> np.ndarray:
+        """Residuals of all interval equations, shape (m, n), from one rhs
+        evaluation per zone at its knots in the zone's variables."""
         out = np.empty((self.m, self.n))
-        for tr, s, e in self.zones:
-            fL = eval_rhs_batch(self.tsys[tr], qL[s:e].T, tauL[s:e])
-            fR = eval_rhs_batch(self.tsys[tr], QR[s:e].T,
-                                self.tau[s + 1:e + 1])
-            out[s:e] = ((QR[s:e] - qL[s:e]) / dtau[s:e, None]
-                        - 0.5 * (fL + fR).T)
+        for tr, s, e, q, tau in self.zone_knots(Q):
+            f = eval_rhs_batch(self.tsys[tr], q, tau)
+            out[s:e] = ((q[:, 1:] - q[:, :-1]) / np.diff(tau)
+                        - 0.5 * (f[:, :-1] + f[:, 1:])).T
         return out
 
     def end_states(self, q0: np.ndarray, qm: np.ndarray) -> np.ndarray:
@@ -257,31 +249,29 @@ class _Sweep:
         return self.boundary_residual(self.end_states(q0, qm))
 
     def residual(self, Q: np.ndarray) -> np.ndarray:
-        r = self.interval_residual(Q[:-1], Q[1:])
+        r = self.interval_residual(Q)
         g = self.bc_residual(Q[0], Q[-1])
         return np.concatenate([r.ravel(), g])
 
     # -- Jacobian ---------------------------------------------------------
 
-    def system_jacobian(self, tr: Transform, X: np.ndarray, T: np.ndarray,
-                        near: Optional[np.ndarray] = None) -> np.ndarray:
+    def system_jacobian(self, tr: Transform, X: np.ndarray,
+                        T: np.ndarray) -> np.ndarray:
         """[G_q | G_tau] of the transformed system at natural points (X, T),
         shape (n, n+1, B), evaluated in chunks of _JAC_CHUNK points.
 
         Without an analytic ``jac`` the rhs is differenced per point with
-        steps scaled by the point's coordinates and those of ``near`` (its
-        neighbours in the batch by default), never by an absolute unit:
-        deep in a boundary layer the natural coordinates can span hundreds
-        of orders of magnitude and a unit-scaled step would wipe them out.
+        steps scaled by the point's coordinates and those of its neighbours
+        in the batch, never by an absolute unit: deep in a boundary layer
+        the natural coordinates can span hundreds of orders of magnitude
+        and a unit-scaled step would wipe them out.
         """
         tsys = self.tsys[tr]
         out = np.empty((self.n, self.n + 1, len(T)))
         for start in range(0, len(T), _JAC_CHUNK):
             part = slice(start, start + _JAC_CHUNK)
             scale = None
-            if tsys.jac is None and near is not None:
-                scale = np.maximum(np.abs(near[:, part]), 1e-240)
-            elif tsys.jac is None:
+            if tsys.jac is None:
                 Z = np.abs(np.vstack([X[:, part], T[part]]))
                 scale = Z.copy()
                 scale[:, 1:] = np.maximum(Z[:, 1:], Z[:, :-1])
@@ -293,7 +283,7 @@ class _Sweep:
 
     def blocks(self, Q: np.ndarray) -> BlockJacobian:
         """Block Jacobian at the iterate Q from the transformed systems'
-        Jacobians [G_q | G_tau], evaluated once per knot per zone.
+        Jacobians [G_q | G_tau], evaluated once per knot of every zone.
 
         Interval i reads A[i] = -I/dtau - G_q(knot i)/2 and
         B[i] = I/dtau - G_q(knot i+1)/2.  At a transform switch the left
@@ -304,34 +294,26 @@ class _Sweep:
         boundary residual in original variables, and D likewise at knot m.
         """
         n, m = self.n, self.m
-        switches = list(self.switch_states(Q[:-1]))
-        tauL = self.tau[:-1].copy()
-        for *_, idx, _, _, _, tau in switches:
-            tauL[idx] = tau
-        inv = 1.0 / self.natural_steps(tauL)
         A = np.empty((m, n, n))
         B = np.empty((m, n, n))
-        for (tr, s, e), (_, knots) in zip(self.zones, self.owned):
-            # each knot the zone owns once: the right knot of every interval
-            # and the left knot of every interval but a switch, whose
-            # coordinates belong to the previous zone (handled below)
-            G = -0.5 * np.moveaxis(self.system_jacobian(
-                tr, Q[knots].T, self.tau[knots])[:, :n], -1, 0)
-            A[knots.start:e] = G[:-1]
-            B[s:e] = G[s + 1 - knots.start:]
         diag = np.arange(n)
-        A[:, diag, diag] -= inv[:, None]
-        B[:, diag, diag] += inv[:, None]
-        for owner, tr, idx, u, t, q, tau in switches:
-            qR, tauR = Q[idx + 1], self.tau[idx + 1]
-            near = np.vstack([qR.T, tauR])
-            dr = -0.5 * np.moveaxis(
-                self.system_jacobian(tr, q, tau, near), -1, 0)
-            dr[:, diag, diag] -= inv[idx, None]
-            dr[:, :, n] += (qR - q.T) * inv[idx, None] ** 2
-            dphi = np.einsum("ijb,jkb->bik", state_jacobian(tr, u),
-                             state_jacobian(owner, Q[idx].T))
-            A[idx] = dr @ dphi[:, :, :n]
+        for k, (tr, s, e, q, tau) in enumerate(self.zone_knots(Q)):
+            J = self.system_jacobian(tr, q, tau)
+            G = -0.5 * np.moveaxis(J[:, :n], -1, 0)
+            inv = 1.0 / np.diff(tau)
+            A[s:e] = G[:-1]
+            B[s:e] = G[1:]
+            A[s:e, diag, diag] -= inv[:, None]
+            B[s:e, diag, diag] += inv[:, None]
+            if k:
+                # the switch knot's coordinates belong to the previous zone
+                prev = self.zones[k - 1][0]
+                dr = -0.5 * J[:, :, 0]
+                dr[diag, diag] -= inv[0]
+                dr[:, n] += (q[:, 1] - q[:, 0]) * inv[0] ** 2
+                u, _ = unmap_state(prev, Q[s], self.tau[s])
+                dphi = state_jacobian(tr, u) @ state_jacobian(prev, Q[s])
+                A[s] = dr @ dphi[:, :n]
         # boundary rows: central differences of g over the original end
         # states, chained through the unmap Jacobians of the end zones
         z = self.end_states(Q[0], Q[-1])

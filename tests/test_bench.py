@@ -41,6 +41,24 @@ def test_srn_config_validation():
         SrnConfig(lambda0=10.0, lambda_cap=5.0)
 
 
+@pytest.mark.parametrize("h0", [0.0, -1.0, math.nan, math.inf])
+def test_cold_start_step_must_be_finite_and_positive(h0):
+    with pytest.raises(ConfigError, match="h0"):
+        uniform_mesh(troesch(3.0), h0)
+    with pytest.raises(ConfigError, match="h0"):
+        SrnConfig(h0=h0)
+
+
+def test_continuation_lambda_does_not_drift():
+    # lambda is lambda0 + k*delta_lambda: a running sum of 0.1 would end
+    # at 4.999999999999997 and miss exact-key reference lookups
+    result = run_continuation(troesch, SrnConfig(h0=0.1, delta_lambda=0.1))
+    lams = [row["lambda"] for row in result.per_lambda]
+    assert len(lams) > 10
+    assert lams == [3.0 + k * 0.1 for k in range(len(lams))]
+    assert result.srn == lams[-1]
+
+
 def test_cold_start_failure():
     cfg = SrnConfig(lambda0=30.0, h0=0.1, lambda_cap=40.0,
                     stop=StopCriterion.CONVERGENCE)

@@ -2,6 +2,8 @@
 
 import csv
 
+import pytest
+
 from stiffbvp.cli import main
 
 
@@ -22,6 +24,11 @@ def test_solve_missing_lambda_is_config_error():
 
 def test_unknown_flag_is_config_error(capsys):
     assert main(["solve", "--no-such-flag"]) == 3
+
+
+@pytest.mark.parametrize("h0", ["0", "-1", "nan"])
+def test_bad_cold_start_step_is_config_error(h0):
+    assert main(["solve", "--lambda", "3", "--h0", h0, "--quiet"]) == 3
 
 
 def test_unknown_problem_is_config_error():

@@ -104,6 +104,21 @@ def test_auto_strategy_boundary_interval_restricted_to_pins():
     assert out[0].swap in (None, 1)
 
 
+def test_auto_strategy_never_swaps_a_flat_component():
+    # the cold-start guess has u2 = 1 at every knot: a 2-swap there would
+    # make every natural step of its zone zero
+    spec = troesch(3.0)
+    mesh = uniform_mesh(spec, 0.1)
+    zones = AutoStrategy().assign(mesh, spec.system, spec.bc)
+    assert any(tr.swap is not None for tr, _, _ in zones)
+    for tr, s, e in zones:
+        if tr.swap is not None:
+            assert (np.diff(mesh.U[s:e + 1, tr.swap - 1]) != 0).all()
+    sol = solve_spec(spec, mesh, AutoStrategy())
+    assert sol.mesh.knot_count == 11
+    assert sol.iterations <= 10
+
+
 # -- fixed zone layouts ---------------------------------------------------
 
 def test_growth_zone_initial_guess_all_identity():

@@ -6,7 +6,7 @@ import pytest
 from stiffbvp import (BoundaryConditions, ConfigError, EvolvingMesh,
                       IdentityStrategy, NewtonConfig, NonStationaryBoundary,
                       OdeSystem, SegmentedProblem, SingularLinearSystem,
-                      Transform, assemble_jacobian, assemble_residual,
+                      SingularStepError, Transform, assemble_jacobian, assemble_residual,
                       from_second_order, linear_verification, newton_solve,
                       solve_linear_block, solve_spec, troesch, uniform_mesh)
 from stiffbvp import trapezoid
@@ -151,9 +151,9 @@ def test_jacobian_without_analytic_jac_matches_fd():
 
 
 def test_jacobian_work_count(monkeypatch):
-    # the blocks come from one batched jac call per zone and switch pair
-    # and chunk, never from residual passes; the boundary rows from
-    # 2*(n+1) central differences of the user's g per end
+    # the blocks come from one batched jac call per zone and chunk, never
+    # from residual passes; the boundary rows from 2*(n+1) central
+    # differences of the user's g per end
     spec = troesch(6.0)
     calls = {"jac": 0, "residual": 0, "bc_residual": 0, "g": 0}
 
@@ -171,9 +171,9 @@ def test_jacobian_work_count(monkeypatch):
     residual = _Sweep.interval_residual
     bc_residual = _Sweep.bc_residual
 
-    def interval_residual(self, QL, QR):
+    def interval_residual(self, Q):
         calls["residual"] += 1
-        return residual(self, QL, QR)
+        return residual(self, Q)
 
     def counted_bc_residual(self, q0, qm):
         calls["bc_residual"] += 1
@@ -183,13 +183,41 @@ def test_jacobian_work_count(monkeypatch):
     monkeypatch.setattr(_Sweep, "bc_residual", counted_bc_residual)
     monkeypatch.setattr(trapezoid, "_JAC_CHUNK", 4)
     assemble_jacobian(problem)
-    zones = len(problem.mesh.zones)
-    switch_pairs = len(_Sweep(problem).switches)
-    chunks = -(-problem.mesh.knot_count // 4)
+    # every zone's knots s..e, the switch knot included, in chunks of 4
+    chunks = sum(-(-(e - s + 1) // 4) for _, s, e in problem.mesh.zones)
     assert calls["residual"] == 0
-    assert 0 < calls["jac"] <= (zones + switch_pairs) * chunks
+    assert calls["jac"] == chunks
     assert calls["bc_residual"] == 0
     assert calls["g"] == 4 * (problem.mesh.n + 1)
+
+
+def test_residual_work_count(monkeypatch):
+    # one rhs evaluation per zone, at its knots s..e: interior knots are
+    # evaluated once, not once as a left and once as a right knot
+    problem = _three_zone_problem()
+    points = []
+    eval_rhs_batch = trapezoid.eval_rhs_batch
+
+    def counted(system, U, T):
+        points.append(len(T))
+        return eval_rhs_batch(system, U, T)
+
+    monkeypatch.setattr(trapezoid, "eval_rhs_batch", counted)
+    assemble_residual(problem)
+    assert points == [e - s + 1 for _, s, e in problem.mesh.zones]
+
+
+def test_zero_natural_step_at_switch_raises():
+    # the SP2 zone's first step runs from the switch knot, re-expressed
+    # with tau = u2, to the next knot, whose tau is its own u2
+    problem = _three_zone_problem()
+    _, s, _ = problem.mesh.zones[1]
+    problem.mesh.U[s + 1, 1] = problem.mesh.U[s, 1]
+    sweep = _Sweep(problem)
+    for evaluate in (sweep.residual, sweep.blocks):
+        with pytest.raises(SingularStepError,
+                           match=rf"zero natural step on interval {s}$"):
+            evaluate(sweep.Q0)
 
 
 def test_jacobian_independent_of_chunking(monkeypatch):
