@@ -26,6 +26,11 @@ from .strategy import (IdentityStrategy, SteepGrowthZoneStrategy,
 from .transform import Transform
 from .trapezoid import NewtonConfig, SegmentedProblem, Solution, newton_solve
 
+# the continuation oracle's reference step is this many times finer than
+# the step under test, and its cold starts use this uniform step
+_ORACLE_FINENESS = 100.0
+_ORACLE_COLD_H = 0.01
+
 
 class StopCriterion(Enum):
     ACCURACY = "accuracy"          # endpoint derivative off by >= 100%
@@ -44,7 +49,6 @@ class SrnConfig:
     h0: float = 0.1                # cold-start uniform step
     lambda_cap: float = 200.0
     oracle: Optional["ContinuationOracle"] = None
-    oracle_fineness: float = 100.0
     progress: bool = False
 
     def __post_init__(self):
@@ -70,7 +74,8 @@ def _check_step(h: float):
 
 def uniform_mesh(spec: ProblemSpec, h: float) -> EvolvingMesh:
     """Cold-start guess: uniform knots, linear first component between the
-    pinned endpoint values."""
+    pinned endpoint values.  A step that puts more than MAX_KNOTS knots
+    on the mesh raises ConfigError."""
     _check_step(h)
     a, b = spec.domain
     m = max(2, int(round((b - a) / h)))
@@ -104,11 +109,10 @@ class ContinuationOracle:
     def __init__(self, family: Callable[[float], ProblemSpec],
                  strategy: Optional[TransformStrategy] = None,
                  newton: NewtonConfig = NewtonConfig(),
-                 cold_h: float = 0.01, progress: bool = False):
+                 progress: bool = False):
         self.family = family
         self.strategy = strategy or SteepGrowthZoneStrategy()
         self.newton = newton
-        self.cold_h = cold_h
         self.progress = progress
         self._chains = {}
 
@@ -130,12 +134,12 @@ class ContinuationOracle:
             cur = min(lam, 3.0)
             spec = self.family(cur)
             self._log(f"oracle cold start at lambda={cur:g}, h_ref={h_ref:g}")
-            coarse = solve_spec(spec, uniform_mesh(spec, self.cold_h),
+            coarse = solve_spec(spec, uniform_mesh(spec, _ORACLE_COLD_H),
                                 IdentityStrategy(), self.newton, None)
             mesh = coarse.mesh
             # descend to h_ref a decade at a time so each warm start's
             # correction stays below the next mesh's natural step
-            h = max(self.cold_h, h_ref)
+            h = max(_ORACLE_COLD_H, h_ref)
             while True:
                 h = max(h / 10.0, h_ref)
                 step = RefinementConfig(M=0.1, h_min=h, h_max=h)
@@ -192,7 +196,7 @@ def run_continuation(family: Callable[[float], ProblemSpec],
     if oracle is None and cfg.stop is StopCriterion.ACCURACY:
         oracle = ContinuationOracle(family, progress=cfg.progress)
     h_test = cfg.refinement.h_min if cfg.refinement is not None else cfg.h0
-    h_ref = h_test / cfg.oracle_fineness
+    h_ref = h_test / _ORACLE_FINENESS
     # lambda0 + k*delta_lambda, not a running sum, so that no rounding
     # drift creeps into lambda
     step = 0
@@ -241,7 +245,6 @@ def error_curve(family: Callable[[float], ProblemSpec],
                 rcfg: Optional[RefinementConfig] = None,
                 h0: float = 0.1,
                 oracle: Optional[ContinuationOracle] = None,
-                oracle_fineness: float = 100.0,
                 progress: bool = False) -> List[dict]:
     """Relative endpoint-derivative errors per lambda (cold starts).
 
@@ -250,7 +253,7 @@ def error_curve(family: Callable[[float], ProblemSpec],
     if oracle is None:
         oracle = ContinuationOracle(family, progress=progress)
     h_test = rcfg.h_min if rcfg is not None else h0
-    h_ref = h_test / oracle_fineness
+    h_ref = h_test / _ORACLE_FINENESS
     rows = []
     for lam in lambdas:
         spec = family(lam)

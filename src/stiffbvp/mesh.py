@@ -22,6 +22,9 @@ from .transform import IDENTITY, Transform, apply, map_state
 # (transform, start, stop): intervals start..stop-1 use the transform
 Zone = Tuple[Transform, int, int]
 
+# most knots a mesh may reach, by cold start or by refinement
+MAX_KNOTS = 10 ** 7
+
 
 @dataclass
 class EvolvingMesh:
@@ -124,7 +127,7 @@ class RefinementConfig:
     M: float
     h_min: float
     h_max: float
-    max_knots: int = 10 ** 7
+    max_knots: int = MAX_KNOTS
 
     def __post_init__(self):
         if not (self.M > 0):
@@ -139,10 +142,10 @@ def init_linear(a: float, b: float, m: int, bc_values, n: int = 2) -> EvolvingMe
     ``bc_values`` are the Dirichlet endpoint values of the first component;
     it is interpolated linearly, the second component (when present) is set
     to the interpolant's constant slope, remaining components to zero.  All
-    intervals form one identity zone.
+    intervals form one identity zone.  At most MAX_KNOTS knots.
     """
-    if m < 2:
-        raise ConfigError("need at least 2 intervals")
+    if not 2 <= m < MAX_KNOTS:
+        raise ConfigError(f"need 2 to {MAX_KNOTS - 1} intervals, got {m}")
     if not a < b:
         raise ConfigError("need a < b")
     ua, ub = float(bc_values[0]), float(bc_values[1])

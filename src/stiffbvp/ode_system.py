@@ -1,17 +1,20 @@
 """First-order ODE systems u' = F(u, t) with two-point boundary conditions.
 
-Right-hand sides follow a batch convention: ``rhs(u, t)`` must accept
-``u`` of shape ``(n,)`` with scalar ``t`` and, preferably, ``u`` of shape
-``(n, B)`` with ``t`` of shape ``(B,)`` (numpy broadcasting usually gives
-this for free).  Evaluation helpers fall back to a per-point loop when a
-right-hand side is not batch-safe.  An analytic ``jac`` follows the same
-convention with the batch axis last: shape ``(n, n+1)`` for one state and
-``(n, n+1, B)`` for a batch; it must be batch-safe.
+Right-hand sides must be batch-safe: ``rhs(u, t)`` accepts ``u`` of shape
+``(n,)`` with scalar ``t`` and ``u`` of shape ``(n, B)`` with ``t`` of
+shape ``(B,)`` (numpy broadcasting usually gives this for free), as in
+scipy's ``solve_bvp``.  A ``jac`` follows the same convention with the
+batch axis last: shape ``(n, n+1)`` for one state and ``(n, n+1, B)`` for
+a batch.  A system built without one differences its rhs centrally in
+the original variables (u, t); derivatives in transformed variables come
+from that one Jacobian by the chain rule, never from differences of their
+own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -27,15 +30,38 @@ def fd_step(x):
     return FD_REL_STEP * np.maximum(1.0, np.abs(x))
 
 
+def central_differences(f: Callable, z):
+    """Derivatives of f at z by central differences with the fd_step rule,
+    one column per coordinate of z: for z of shape (k,) or (k, B) and f(z)
+    of shape (r,) or (r, B), the result has shape (r, k) or (r, k, B)."""
+    z = np.asarray(z, dtype=float)
+    h = fd_step(z)
+    cols = []
+    for j in range(len(z)):
+        zp, zm = z.copy(), z.copy()
+        zp[j] += h[j]
+        zm[j] -= h[j]
+        cols.append(np.subtract(f(zp), f(zm)) / (zp[j] - zm[j]))
+    return np.array(cols).swapaxes(0, 1)
+
+
+def rhs_jacobian(rhs: Callable, u, t):
+    """[dF/du | dF/dt] of ``rhs`` at (u, t) by central differences in the
+    original variables; the default ``jac`` of an OdeSystem."""
+    z = np.concatenate([u, np.asarray(t, dtype=float)[None]])
+    return central_differences(lambda y: rhs(y[:-1], y[-1]), z)
+
+
 @dataclass(frozen=True)
 class OdeSystem:
     """System of n first-order ODEs u'(t) = F(u(t), t).
 
-    ``jac``, when given, maps (u, t) to the n x (n+1) matrix whose first n
-    columns are dF/du and whose last column is dF/dt; for a batch
-    (u of shape (n, B), t of shape (B,)) it returns shape (n, n+1, B).
-    ``params`` holds named parameters (e.g. ``lambda``) so continuation can
-    rebuild systems without reconstructing closures.
+    ``rhs`` must be batch-safe (see the module docstring).  ``jac`` maps
+    (u, t) to the n x (n+1) matrix whose first n columns are dF/du and
+    whose last column is dF/dt; for a batch (u of shape (n, B), t of shape
+    (B,)) it returns shape (n, n+1, B).  Without one, the system differences
+    ``rhs`` centrally in (u, t) (``rhs_jacobian``).  ``params`` records the
+    named parameters the system was built with (e.g. ``lam``), for reports.
     """
 
     n: int
@@ -47,11 +73,8 @@ class OdeSystem:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("system dimension must be positive")
-
-    def with_params(self, **updates) -> "OdeSystem":
-        merged = dict(self.params)
-        merged.update(updates)
-        return OdeSystem(self.n, self.rhs, self.jac, merged, self.name)
+        object.__setattr__(self, "jac",
+                           self.jac or partial(rhs_jacobian, self.rhs))
 
 
 @dataclass(frozen=True)
@@ -88,26 +111,32 @@ def eval_rhs(system: OdeSystem, u, t):
     return out
 
 
+def _call_batch(fn: Callable, what: str, U, T):
+    """fn(U, T) as a float array; the TypeError or ValueError with which a
+    function that is not batch-safe fails becomes an EvaluationError."""
+    # overflow to inf is expected near steep layers and reported by callers
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        try:
+            return np.asarray(fn(U, T), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise EvaluationError(
+                f"{what} failed on a batch of {U.shape[1]} states ({exc}); "
+                f"it must accept u of shape (n, B) and t of shape (B,)"
+            ) from exc
+
+
 def eval_rhs_batch(system: OdeSystem, U, T):
     """Evaluate F at many states at once.
 
-    ``U`` has shape (n, B), ``T`` shape (B,).  Falls back to a loop if the
-    rhs is not batch-safe.  Non-finite entries raise EvaluationError.
+    ``U`` has shape (n, B), ``T`` shape (B,).  A rhs that is not
+    batch-safe, and non-finite entries, raise EvaluationError.
     """
     U = np.asarray(U, dtype=float)
     T = np.asarray(T, dtype=float)
-    # overflow to inf is expected near steep layers and reported below
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        try:
-            out = np.asarray(system.rhs(U, T), dtype=float)
-            if out.shape != U.shape:
-                raise ValueError
-        except EvaluationError:
-            raise
-        except Exception:
-            out = np.empty_like(U)
-            for b in range(U.shape[1]):
-                out[:, b] = system.rhs(U[:, b], T[b])
+    out = _call_batch(system.rhs, "rhs", U, T)
+    if out.shape != U.shape:
+        raise EvaluationError(
+            f"rhs returned shape {out.shape} for a batch, expected {U.shape}")
     bad = ~np.isfinite(out)
     if bad.any():
         j = int(np.argmax(bad.any(axis=-1)))
@@ -117,38 +146,21 @@ def eval_rhs_batch(system: OdeSystem, U, T):
     return out
 
 
-def eval_jacobian_batch(system: OdeSystem, U, T, scale=None):
-    """[dF/du | dF/dt] at many states at once, shape (n, n+1, B).
+def eval_jacobian_batch(system: OdeSystem, U, T):
+    """[dF/du | dF/dt] at many states at once, shape (n, n+1, B), from the
+    system's ``jac``.
 
-    ``U`` has shape (n, B), ``T`` shape (B,).  Uses the analytic ``jac``
-    when present, otherwise central differences of the rhs with step
-    eps^(1/3) * max(|x|, scale) per coordinate x of (u, t); ``scale`` is
-    an (n+1, B) array of coordinate magnitudes and defaults to 1.
-    Non-finite entries raise EvaluationError.
+    ``U`` has shape (n, B), ``T`` shape (B,).  A wrong shape and non-finite
+    entries raise EvaluationError.
     """
     U = np.asarray(U, dtype=float)
     T = np.asarray(T, dtype=float)
     n, count = U.shape
-    if system.jac is not None:
-        # overflow to inf is expected near steep layers and reported below
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out = np.asarray(system.jac(U, T), dtype=float)
-        if out.shape != (n, n + 1, count):
-            raise EvaluationError(
-                f"jac returned shape {out.shape}, "
-                f"expected ({n}, {n + 1}, {count})")
-    else:
-        Z = np.vstack([U, T])
-        h = FD_REL_STEP * np.maximum(
-            np.abs(Z), 1.0 if scale is None else scale)
-        out = np.empty((n, n + 1, count))
-        for j in range(n + 1):
-            Zp, Zm = Z.copy(), Z.copy()
-            Zp[j] += h[j]
-            Zm[j] -= h[j]
-            out[:, j] = ((eval_rhs_batch(system, Zp[:n], Zp[n])
-                          - eval_rhs_batch(system, Zm[:n], Zm[n]))
-                         / (Zp[j] - Zm[j]))
+    out = _call_batch(system.jac, "jac", U, T)
+    if out.shape != (n, n + 1, count):
+        raise EvaluationError(
+            f"jac returned shape {out.shape}, "
+            f"expected ({n}, {n + 1}, {count})")
     if not np.isfinite(out).all():
         raise EvaluationError("non-finite Jacobian entry in batched "
                               "evaluation")
@@ -181,7 +193,9 @@ def from_second_order(N: Callable, params=None, name="") -> OdeSystem:
 
     def rhs(u, t):
         u1, u2 = u[0], u[1]
-        return np.stack([u2 * np.ones_like(np.asarray(t, dtype=float)),
-                         np.asarray(N(u2, u1, t), dtype=float)])
+        # N may return a scalar; broadcasting keeps the rhs batch-safe
+        return np.stack(np.broadcast_arrays(
+            u2 * np.ones_like(np.asarray(t, dtype=float)),
+            np.asarray(N(u2, u1, t), dtype=float)))
 
     return OdeSystem(2, rhs, params=dict(params or {}), name=name)

@@ -92,8 +92,9 @@ def apply(transform: Transform, system: OdeSystem) -> OdeSystem:
     at u_k = s with t = v_k (otherwise t = s).  The flips give
     H_l = -F_l * v_l**2 (H_i = F_i elsewhere), and a k-swap then divides by
     H_k: G = H / H_k with G_k = 1 / H_k.  Evaluating at v_l = 0 or where
-    H_k = 0 raises EvaluationError.  The result has a ``jac``, composed by
-    the chain rule, when ``system`` has one.
+    H_k = 0 raises EvaluationError.  The result's ``jac`` takes the chain
+    rule from one evaluation each of the system's rhs and ``jac``, which
+    is [dF/du | dF/dt] in the original variables.
     """
     if transform.is_identity:
         return system
@@ -152,8 +153,7 @@ def apply(transform: Transform, system: OdeSystem) -> OdeSystem:
         out[ki] = -df[ki] / h[ki] / h[ki]
         return out
 
-    return OdeSystem(n, rhs, jac=jac if system.jac is not None else None,
-                     params=system.params,
+    return OdeSystem(n, rhs, jac=jac, params=system.params,
                      name=f"{transform.label()}({system.name or '?'})")
 
 

@@ -23,8 +23,8 @@ from .errors import (ConfigError, DomainError, EvaluationError,
                      NonConvergence, NonStationaryBoundary,
                      SingularLinearSystem, SingularStepError)
 from .mesh import EvolvingMesh, RefinementConfig, normalize, refine
-from .ode_system import (BoundaryConditions, OdeSystem, eval_jacobian_batch,
-                         eval_rhs_batch, fd_step)
+from .ode_system import (BoundaryConditions, OdeSystem, central_differences,
+                         eval_jacobian_batch, eval_rhs_batch)
 from .transform import (Transform, apply, map_state, state_jacobian,
                         unmap_state)
 
@@ -258,27 +258,12 @@ class _Sweep:
     def system_jacobian(self, tr: Transform, X: np.ndarray,
                         T: np.ndarray) -> np.ndarray:
         """[G_q | G_tau] of the transformed system at natural points (X, T),
-        shape (n, n+1, B), evaluated in chunks of _JAC_CHUNK points.
-
-        Without an analytic ``jac`` the rhs is differenced per point with
-        steps scaled by the point's coordinates and those of its neighbours
-        in the batch, never by an absolute unit: deep in a boundary layer
-        the natural coordinates can span hundreds of orders of magnitude
-        and a unit-scaled step would wipe them out.
-        """
+        shape (n, n+1, B), evaluated in chunks of _JAC_CHUNK points."""
         tsys = self.tsys[tr]
         out = np.empty((self.n, self.n + 1, len(T)))
         for start in range(0, len(T), _JAC_CHUNK):
             part = slice(start, start + _JAC_CHUNK)
-            scale = None
-            if tsys.jac is None:
-                Z = np.abs(np.vstack([X[:, part], T[part]]))
-                scale = Z.copy()
-                scale[:, 1:] = np.maximum(Z[:, 1:], Z[:, :-1])
-                scale[:, :-1] = np.maximum(scale[:, :-1], Z[:, 1:])
-                scale = np.maximum(scale, 1e-240)
-            out[..., part] = eval_jacobian_batch(
-                tsys, X[:, part], T[part], scale)
+            out[..., part] = eval_jacobian_batch(tsys, X[:, part], T[part])
         return out
 
     def blocks(self, Q: np.ndarray) -> BlockJacobian:
@@ -316,15 +301,8 @@ class _Sweep:
                 A[s] = dr @ dphi[:, :n]
         # boundary rows: central differences of g over the original end
         # states, chained through the unmap Jacobians of the end zones
-        z = self.end_states(Q[0], Q[-1])
-        h = fd_step(z)
-        dg = np.empty((n, 2 * n + 2))
-        for j in range(2 * n + 2):
-            zp, zm = z.copy(), z.copy()
-            zp[j] += h[j]
-            zm[j] -= h[j]
-            dg[:, j] = ((self.boundary_residual(zp)
-                         - self.boundary_residual(zm)) / (zp[j] - zm[j]))
+        dg = central_differences(self.boundary_residual,
+                                 self.end_states(Q[0], Q[-1]))
         C = dg[:, :n + 1] @ state_jacobian(self.zones[0][0], Q[0])[:, :n]
         D = dg[:, n + 1:] @ state_jacobian(self.zones[-1][0], Q[-1])[:, :n]
         return BlockJacobian(A, B, C, D)

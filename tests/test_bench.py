@@ -11,9 +11,9 @@ from stiffbvp import (ColdStartFailure, ConfigError, ContinuationOracle,
                       EvolvingMesh, GrowthZoneStrategy, IdentityStrategy,
                       NewtonConfig, RefinementConfig, SrnConfig,
                       StopCriterion, Transform, endpoint_derivatives,
-                      error_curve, export_solution, import_solution,
-                      run_continuation, solve_spec, troesch, uniform_mesh,
-                      write_error_curve, write_srn_result)
+                      error_curve, export_solution, from_second_order,
+                      import_solution, run_continuation, solve_spec, troesch,
+                      uniform_mesh, write_error_curve, write_srn_result)
 
 from conftest import ENERGY_REFS, intervals, rel_err, zones_of
 
@@ -49,6 +49,14 @@ def test_cold_start_step_must_be_finite_and_positive(h0):
         SrnConfig(h0=h0)
 
 
+def test_cold_start_mesh_is_capped():
+    # h0 = 9e-8 puts 11,111,112 knots on [0, 1], past the knot cap that
+    # refinement also enforces
+    with pytest.raises(ConfigError, match="intervals, got 11111111"):
+        uniform_mesh(troesch(3.0), 9e-8)
+    assert RefinementConfig(M=0.1, h_min=0.1, h_max=0.1).max_knots == 10 ** 7
+
+
 def test_continuation_lambda_does_not_drift():
     # lambda is lambda0 + k*delta_lambda: a running sum of 0.1 would end
     # at 4.999999999999997 and miss exact-key reference lookups
@@ -57,6 +65,31 @@ def test_continuation_lambda_does_not_drift():
     assert len(lams) > 10
     assert lams == [3.0 + k * 0.1 for k in range(len(lams))]
     assert result.srn == lams[-1]
+
+
+def _jacless_troesch(lam):
+    spec = troesch(lam)
+    plain = from_second_order(lambda up, u, t: lam * np.sinh(lam * u),
+                              params={"lam": lam})
+    return dataclasses.replace(spec, system=plain)
+
+
+def test_jacless_continuation_matches_analytic():
+    # differences of the rhs in original variables, carried into each zone
+    # by the chain rule, steer Newton as the analytic jac does
+    cfg = SrnConfig(strategy=GrowthZoneStrategy(),
+                    stop=StopCriterion.CONVERGENCE,
+                    refinement=RefinementConfig(M=0.1, h_min=0.01, h_max=0.1),
+                    h0=0.1, lambda_cap=30.0)
+    analytic = run_continuation(troesch, cfg)
+    plain = run_continuation(_jacless_troesch, cfg)
+    assert analytic.srn == plain.srn == 30.0
+
+    def answers(result):
+        return [(row["lambda"], row["mesh_size"], row["newton_iters"])
+                for row in result.per_lambda]
+
+    assert answers(plain) == answers(analytic)
 
 
 def test_cold_start_failure():

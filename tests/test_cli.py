@@ -26,7 +26,8 @@ def test_unknown_flag_is_config_error(capsys):
     assert main(["solve", "--no-such-flag"]) == 3
 
 
-@pytest.mark.parametrize("h0", ["0", "-1", "nan"])
+# 1e-12 asks for 10**12 knots, past the cold-start knot cap
+@pytest.mark.parametrize("h0", ["0", "-1", "nan", "1e-12"])
 def test_bad_cold_start_step_is_config_error(h0):
     assert main(["solve", "--lambda", "3", "--h0", h0, "--quiet"]) == 3
 

@@ -43,18 +43,6 @@ def test_batch_matches_loop():
                                       eval_rhs(system, U[:, b], T[b]))
 
 
-def test_batch_falls_back_for_scalar_only_rhs():
-    def rhs(u, t):
-        # deliberately not vectorized
-        return np.array([float(u[1]), float(u[0]) + float(t)])
-
-    system = OdeSystem(2, rhs)
-    U = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    T = np.array([0.1, 0.2, 0.3])
-    out = eval_rhs_batch(system, U, T)
-    np.testing.assert_allclose(out, [[4.0, 5.0, 6.0], [1.1, 2.2, 3.3]])
-
-
 def test_batch_nonfinite_raises():
     system = OdeSystem(2, lambda u, t: np.stack([u[0], 1.0 / u[1]]))
     with pytest.raises(EvaluationError):
@@ -127,9 +115,9 @@ def test_batch_jacobian_fd_matches_analytic():
     J_fd = eval_jacobian_batch(plain, U, T)
     np.testing.assert_allclose(J_fd, eval_jacobian_batch(system, U, T),
                                rtol=1e-8, atol=1e-8)
-    # steps follow the given coordinate scale, not a unit floor
-    tiny = 1e-30 * np.ones((3, 12))
-    np.testing.assert_allclose(eval_jacobian_batch(plain, U * 1e-20, T, tiny),
+    # differences in the original variables stay accurate at tiny
+    # coordinates
+    np.testing.assert_allclose(eval_jacobian_batch(plain, U * 1e-20, T),
                                eval_jacobian_batch(system, U * 1e-20, T),
                                rtol=1e-8, atol=1e-8)
 
@@ -144,13 +132,6 @@ def test_batch_jacobian_validation():
         eval_jacobian_batch(troesch(3.0).system, 1e3 * U, np.zeros(4))
 
 
-def test_with_params_rebuilds():
-    system = troesch(3.0).system
-    updated = system.with_params(lam=4.0)
-    assert updated.params["lam"] == 4.0
-    assert updated.rhs is system.rhs
-
-
 def test_dimension_validated():
     with pytest.raises(ValueError):
         OdeSystem(0, lambda u, t: u)
@@ -160,6 +141,10 @@ def test_from_second_order_zero_rhs():
     system = from_second_order(lambda up, u, t: 0.0)
     out = eval_rhs(system, [1.0, 2.5], 0.3)
     np.testing.assert_array_equal(out, [2.5, 0.0])
+    # a constant N is broadcast, so the rhs stays batch-safe
+    U = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    np.testing.assert_array_equal(eval_rhs_batch(system, U, np.zeros(3)),
+                                  [[4.0, 5.0, 6.0], [0.0, 0.0, 0.0]])
 
 
 def test_from_second_order_matches_troesch():

@@ -218,12 +218,18 @@ def test_bad_indices_rejected():
 STRATEGY_TRANSFORMS = ("I", "SP1", "SP2", "FP2", "SP1.FP2")
 
 # (transform label, system) for the composed Jacobian tests: the strategy
-# transforms on Troesch's system plus two flips on a 3d system
+# transforms on Troesch's system, two flips on a 3d system, and both
+# systems without a jac, whose original-variable differences the chain
+# rule carries into the transformed variables
 COMPOSED_CASES = (
     [pytest.param(label, troesch(5.0).system, id=label)
      for label in STRATEGY_TRANSFORMS]
     + [pytest.param(label, _cubic_system(), id=f"{label}-cubic")
-       for label in ("FP1.FP3", "SP2.FP1.FP3")])
+       for label in ("FP1.FP3", "SP2.FP1.FP3")]
+    + [pytest.param("SP1.FP2", OdeSystem(2, troesch(5.0).system.rhs),
+                    id="SP1.FP2-jacless"),
+       pytest.param("FP1.FP3", OdeSystem(3, _cubic_system().rhs),
+                    id="FP1.FP3-cubic-jacless")])
 
 
 def _troesch_states(count, n=2):
@@ -273,11 +279,6 @@ def test_composed_system_evaluates_inner_rhs_once():
     assert calls == {"rhs": 1, "jac": 1}
     tsys.rhs(X, T)
     assert calls == {"rhs": 2, "jac": 1}
-
-
-def test_composed_jacobian_needs_inner_jacobian():
-    system = _quadratic_system()
-    assert apply(Transform(swap=1, flips={2}), system).jac is None
 
 
 def test_swap_jacobian_zero_denominator_raises():

@@ -1,14 +1,17 @@
 """Discretization residual, block Jacobian, linear solve, Newton loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stiffbvp import (BoundaryConditions, ConfigError, EvolvingMesh,
-                      IdentityStrategy, NewtonConfig, NonStationaryBoundary,
-                      OdeSystem, SegmentedProblem, SingularLinearSystem,
-                      SingularStepError, Transform, assemble_jacobian, assemble_residual,
-                      from_second_order, linear_verification, newton_solve,
-                      solve_linear_block, solve_spec, troesch, uniform_mesh)
+from stiffbvp import (BoundaryConditions, ConfigError, EvaluationError,
+                      EvolvingMesh, IdentityStrategy, NewtonConfig,
+                      NonStationaryBoundary, OdeSystem, SegmentedProblem,
+                      SingularLinearSystem, SingularStepError, Transform,
+                      assemble_jacobian, assemble_residual, from_second_order,
+                      linear_verification, newton_solve, solve_linear_block,
+                      solve_spec, troesch, uniform_mesh)
 from stiffbvp import trapezoid
 from stiffbvp.mesh import init_linear
 from stiffbvp.trapezoid import (BlockJacobian, _Sweep, anchor_pins,
@@ -138,16 +141,35 @@ def test_jacobian_matches_fd_three_zone_mesh():
 
 
 def test_jacobian_without_analytic_jac_matches_fd():
-    # rhs differences per knot feed the same assembly as an analytic jac
+    # rhs differences in the original variables, carried into every zone
+    # by the chain rule, feed the same assembly as an analytic jac
     lam = 6.0
     plain = from_second_order(lambda up, u, t: lam * np.sinh(lam * u))
-    assert plain.jac is None
     problem = _three_zone_problem(plain, lam)
     J = assemble_jacobian(problem).todense()
     np.testing.assert_allclose(J, _fd_dense_jacobian(problem),
                                rtol=1e-5, atol=1e-6)
     analytic = assemble_jacobian(_three_zone_problem(lam=lam)).todense()
     np.testing.assert_allclose(J, analytic, rtol=1e-7, atol=1e-7)
+
+
+def test_scalar_only_rhs_is_evaluation_error():
+    # a rhs must be batch-safe, as jac must: the residual evaluates it on
+    # all knots of a zone at once, and so does the composed jac of a swap
+    # or flip zone
+    spec = troesch(6.0)
+
+    def rhs(u, t):
+        # deliberately not vectorized
+        return np.array([float(u[1]), 6.0 * np.sinh(6.0 * float(u[0]))])
+
+    scalar = dataclasses.replace(
+        spec, system=OdeSystem(2, rhs, jac=spec.system.jac))
+    problem = _three_zone_problem(scalar.system)
+    with pytest.raises(EvaluationError, match="batch"):
+        solve_spec(scalar, problem.mesh)
+    with pytest.raises(EvaluationError, match="batch"):
+        assemble_jacobian(problem)
 
 
 def test_jacobian_work_count(monkeypatch):
