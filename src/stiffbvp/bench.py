@@ -108,11 +108,9 @@ class ContinuationOracle:
 
     def __init__(self, family: Callable[[float], ProblemSpec],
                  strategy: Optional[TransformStrategy] = None,
-                 newton: NewtonConfig = NewtonConfig(),
                  progress: bool = False):
         self.family = family
         self.strategy = strategy or SteepGrowthZoneStrategy()
-        self.newton = newton
         self.progress = progress
         self._chains = {}
 
@@ -135,7 +133,7 @@ class ContinuationOracle:
             spec = self.family(cur)
             self._log(f"oracle cold start at lambda={cur:g}, h_ref={h_ref:g}")
             coarse = solve_spec(spec, uniform_mesh(spec, _ORACLE_COLD_H),
-                                IdentityStrategy(), self.newton, None)
+                                IdentityStrategy())
             mesh = coarse.mesh
             # descend to h_ref a decade at a time so each warm start's
             # correction stays below the next mesh's natural step
@@ -143,8 +141,7 @@ class ContinuationOracle:
             while True:
                 h = max(h / 10.0, h_ref)
                 step = RefinementConfig(M=0.1, h_min=h, h_max=h)
-                sol = solve_spec(spec, mesh, self.strategy,
-                                 self.newton, step)
+                sol = solve_spec(spec, mesh, self.strategy, rcfg=step)
                 mesh = sol.mesh
                 if h <= h_ref:
                     break
@@ -153,7 +150,7 @@ class ContinuationOracle:
             cur = min(cur + 1.0, lam)
             spec = self.family(cur)
             self._log(f"oracle continuation lambda={cur:g}, h_ref={h_ref:g}")
-            sol = solve_spec(spec, mesh, self.strategy, self.newton, rcfg)
+            sol = solve_spec(spec, mesh, self.strategy, rcfg=rcfg)
             chain[cur] = sol
             mesh = sol.mesh
         return chain[lam]

@@ -15,13 +15,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import (ContinuationOracle, SrnConfig, StopCriterion, error_curve,
-                    export_solution, run_continuation, solve_spec,
-                    uniform_mesh, write_error_curve, write_srn_result)
+from .bench import (SrnConfig, StopCriterion, error_curve, export_solution,
+                    run_continuation, solve_spec, uniform_mesh,
+                    write_error_curve, write_srn_result)
 from .errors import ConfigError, StiffBvpError
 from .mesh import RefinementConfig
 from .problems import problem_by_name, troesch
-from .strategy import strategy_by_name
+from .strategy import STRATEGIES, strategy_by_name
 from .trapezoid import NewtonConfig
 
 
@@ -35,8 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--problem", default="troesch")
         p.add_argument("--strategy", default="identity",
-                       choices=["identity", "auto", "troesch-sp1fp2",
-                                "troesch-sp2-sp1fp2"])
+                       choices=list(STRATEGIES))
         p.add_argument("--h-min", type=float, default=None)
         p.add_argument("--h-max", type=float, default=None)
         p.add_argument("--M", type=float, default=0.1)
@@ -150,9 +149,7 @@ def _cmd_errors(args) -> int:
     rows = error_curve(
         troesch, lambdas, strategy=strategy_by_name(args.strategy),
         newton=NewtonConfig(tol=args.tol), rcfg=_refinement(args),
-        h0=args.h0, oracle=ContinuationOracle(troesch,
-                                              progress=not args.quiet),
-        progress=not args.quiet)
+        h0=args.h0, progress=not args.quiet)
     if not args.quiet:
         for row in rows:
             if row.get("failed"):

@@ -11,7 +11,7 @@ class ConfigError(StiffBvpError):
 
 class EvaluationError(StiffBvpError):
     """A right-hand side produced a non-finite value, or a transformed
-    right-hand side hit a zero denominator.
+    right-hand side or state map hit a zero denominator.
 
     ``component`` is the 1-based index of the offending component when known.
     """
@@ -21,16 +21,12 @@ class EvaluationError(StiffBvpError):
         self.component = component
 
 
-class DomainError(StiffBvpError):
-    """State outside a transform's domain (zero flipped component)."""
-
-
 class MeshError(StiffBvpError):
     """Mesh degenerated below the minimum usable size."""
 
 
 class RefinementError(StiffBvpError):
-    """Refinement would exceed the configured knot cap."""
+    """Refinement would exceed the knot cap ``mesh.MAX_KNOTS``."""
 
 
 class SingularStepError(StiffBvpError):

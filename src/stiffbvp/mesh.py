@@ -127,7 +127,6 @@ class RefinementConfig:
     M: float
     h_min: float
     h_max: float
-    max_knots: int = MAX_KNOTS
 
     def __post_init__(self):
         if not (self.M > 0):
@@ -221,10 +220,9 @@ def refine(mesh: EvolvingMesh, system: OdeSystem,
         split = _split_mask(out, system, cfg)
         if not split.any():
             return out
-        n_new = int(split.sum())
-        if out.knot_count + n_new > cfg.max_knots:
+        if out.knot_count + int(split.sum()) > MAX_KNOTS:
             raise RefinementError(
-                f"refinement would exceed {cfg.max_knots} knots")
+                f"refinement would exceed {MAX_KNOTS} knots")
         out = _bisect(out, split)
     raise RefinementError("refinement failed to settle (64 passes)")
 

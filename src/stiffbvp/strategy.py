@@ -8,7 +8,6 @@ strategy after every Newton sweep until the assignment is stationary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -19,33 +18,19 @@ from .ode_system import BoundaryConditions, OdeSystem, eval_rhs_batch
 from .transform import IDENTITY, Transform
 
 
-@dataclass(frozen=True)
-class StiffnessConfig:
-    """Thresholds for the automatic strategy.
-
-    An interval counts as stiff when alpha*||F(left)|| + beta*||F(right)||
-    (max norm over components) reaches ``theta``.
-    """
-
-    theta: float = 10.0
-    alpha: float = 0.5
-    beta: float = 0.5
-
-    def __post_init__(self):
-        if not (self.theta > 1):
-            raise ConfigError("theta must exceed 1")
-        if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta <= 0:
-            raise ConfigError("alpha, beta must be nonnegative, not both zero")
+# an interval is stiff when the weighted endpoint rhs magnitude
+# ALPHA*|F(left)| + BETA*|F(right)| reaches THETA in some component
+THETA = 10.0
+ALPHA = BETA = 0.5
 
 
-def stiffness_measure(fL: np.ndarray, fR: np.ndarray,
-                      cfg: StiffnessConfig) -> np.ndarray:
+def stiffness_measure(fL: np.ndarray, fR: np.ndarray) -> np.ndarray:
     """Per-component weighted endpoint magnitude of the rhs on an interval.
 
     ``fL``, ``fR`` are rhs values at the interval ends, shape (n,) or
     (n, B).  The interval's stiffness is the max over components.
     """
-    return cfg.alpha * np.abs(fL) + cfg.beta * np.abs(fR)
+    return ALPHA * np.abs(fL) + BETA * np.abs(fR)
 
 
 def select_swap_index(measure: np.ndarray, allowed=None):
@@ -102,31 +87,28 @@ class IdentityStrategy(TransformStrategy):
 class AutoStrategy(TransformStrategy):
     """Threshold-driven selection.
 
-    For each interval whose stiffness reaches theta, swap the component
-    with the largest weighted endpoint rhs magnitude.  If the swapped
-    equation is still stiff (largest remaining component over the swap
-    denominator reaches theta), additionally flip the components that are
-    large in absolute value at both ends.  On boundary intervals only
-    components pinned by a Dirichlet condition at that end may be swapped,
-    and no component equal at both ends of the interval may be: its swap
-    would make the natural step zero.
+    For each interval whose stiffness reaches the fixed threshold
+    THETA = 10, swap the component with the largest weighted endpoint rhs
+    magnitude.  If the swapped equation is still stiff (largest remaining
+    component over the swap denominator reaches THETA), additionally flip
+    the components that are large in absolute value at both ends.  On
+    boundary intervals only components pinned by a Dirichlet condition at
+    that end may be swapped, and no component equal at both ends of the
+    interval may be: its swap would make the natural step zero.
     """
 
     name = "auto"
-
-    def __init__(self, cfg: StiffnessConfig = StiffnessConfig()):
-        self.cfg = cfg
 
     def assign(self, mesh, system, bc):
         m = mesh.interval_count
         F = eval_rhs_batch(system, mesh.U.T, mesh.T)      # (n, m+1)
         fL, fR = F[:, :-1], F[:, 1:]
-        meas = stiffness_measure(fL, fR, self.cfg)        # (n, m)
+        meas = stiffness_measure(fL, fR)                  # (n, m)
         moving = mesh.U[:-1] != mesh.U[1:]                # (m, n)
         out: List[Transform] = []
         for i in range(m):
             col = meas[:, i]
-            if col.max() < self.cfg.theta:
+            if col.max() < THETA:
                 out.append(IDENTITY)
                 continue
             allowed = {int(j) + 1 for j in np.flatnonzero(moving[i])}
@@ -142,7 +124,7 @@ class AutoStrategy(TransformStrategy):
             denom = min(abs(fL[k - 1, i]), abs(fR[k - 1, i]))
             if denom > 0:
                 residual_stiff = max(col.max(), 1.0) / denom
-                if residual_stiff >= self.cfg.theta:
+                if residual_stiff >= THETA:
                     flips = select_flips(mesh.U[i], mesh.U[i + 1], k)
             out.append(Transform(swap=k, flips=flips))
         return merge_runs((tr, i, i + 1) for i, tr in enumerate(out))
@@ -198,7 +180,7 @@ class SteepGrowthZoneStrategy(TransformStrategy):
         return _layout(m, [(IDENTITY, 0), (mid, eps_idx), (layer, eps1_idx)])
 
 
-_STRATEGIES = {
+STRATEGIES = {
     "identity": IdentityStrategy,
     "auto": AutoStrategy,
     "troesch-sp1fp2": GrowthZoneStrategy,
@@ -206,12 +188,8 @@ _STRATEGIES = {
 }
 
 
-def strategy_by_name(name: str, cfg: StiffnessConfig = None) -> TransformStrategy:
-    try:
-        cls = _STRATEGIES[name]
-    except KeyError:
+def strategy_by_name(name: str) -> TransformStrategy:
+    if name not in STRATEGIES:
         raise ConfigError(
-            f"unknown strategy {name!r}; choices: {sorted(_STRATEGIES)}")
-    if cls is AutoStrategy and cfg is not None:
-        return cls(cfg)
-    return cls()
+            f"unknown strategy {name!r}; choices: {sorted(STRATEGIES)}")
+    return STRATEGIES[name]()

@@ -19,7 +19,7 @@ from typing import FrozenSet, Optional
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .errors import EvaluationError
 from .ode_system import OdeSystem
 
 
@@ -157,16 +157,6 @@ def apply(transform: Transform, system: OdeSystem) -> OdeSystem:
                      name=f"{transform.label()}({system.name or '?'})")
 
 
-def swap_system(system: OdeSystem, k: int) -> OdeSystem:
-    """The k-swap alone; see ``apply``."""
-    return apply(Transform(swap=k), system)
-
-
-def flip_system(system: OdeSystem, l: int) -> OdeSystem:
-    """The l-flip alone; see ``apply``."""
-    return apply(Transform(flips={l}), system)
-
-
 def map_state(transform: Transform, x, s):
     """The transform's change of variables on an extended state (x, s).
 
@@ -176,14 +166,15 @@ def map_state(transform: Transform, x, s):
     natural back to original; ``unmap_state`` is the same function.
     Works on a single state (x shape (n,), scalar s) or on a batch
     (x shape (n, B), s shape (B,)).  A zero flipped component raises
-    DomainError.
+    EvaluationError, as in ``apply``.
     """
     x = np.asarray(x, dtype=float)
     y = x.copy()
     for l in transform.flips:
         xl = x[l - 1]
         if np.any(xl == 0.0):
-            raise DomainError(f"cannot flip zero component x_{l}")
+            raise EvaluationError(f"cannot flip zero component x_{l}",
+                                  component=l)
         y[l - 1] = 1.0 / xl
     if transform.swap is not None:
         ki = transform.swap - 1

@@ -19,9 +19,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import (ConfigError, DomainError, EvaluationError,
-                     NonConvergence, NonStationaryBoundary,
-                     SingularLinearSystem, SingularStepError)
+from .errors import (ConfigError, EvaluationError, NonConvergence,
+                     NonStationaryBoundary, SingularLinearSystem,
+                     SingularStepError)
 from .mesh import EvolvingMesh, RefinementConfig, normalize, refine
 from .ode_system import (BoundaryConditions, OdeSystem, central_differences,
                          eval_jacobian_batch, eval_rhs_batch)
@@ -31,6 +31,10 @@ from .transform import (Transform, apply, map_state, state_jacobian,
 # knots per batched Jacobian evaluation: bounds the temporaries of the
 # composed swap/flip Jacobians on large meshes
 _JAC_CHUNK = 32768
+
+MAX_ITERS = 50              # Newton steps per sweep
+MIN_DAMPING = 2.0 ** -20    # line-search floor; it starts at the full step
+MAX_OUTER = 40              # transform/refinement outer iterations
 
 
 @dataclass
@@ -53,19 +57,13 @@ class SegmentedProblem:
 
 @dataclass(frozen=True)
 class NewtonConfig:
+    """A sweep has converged once its max-norm residual is at most tol."""
+
     tol: float = 1e-10
-    max_iters: int = 50
-    damping: float = 1.0          # initial line-search factor, halved on reject
-    min_damping: float = 2.0 ** -20
-    max_outer: int = 40           # transform/refinement outer iterations
 
     def __post_init__(self):
         if not (self.tol > 0):
             raise ConfigError("tol must be positive")
-        if self.max_iters < 1 or self.max_outer < 1:
-            raise ConfigError("iteration budgets must be positive")
-        if not (0 < self.damping <= 1):
-            raise ConfigError("damping must lie in (0, 1]")
 
 
 @dataclass
@@ -316,24 +314,24 @@ class _Sweep:
         norm = float(np.max(np.abs(r)))
         iters = 0
         while norm > cfg.tol:
-            if iters >= cfg.max_iters:
+            if iters >= MAX_ITERS:
                 raise NonConvergence(
                     f"residual {norm:.3e} after {iters} Newton steps")
             jac = self.blocks(Q)
             r_int = r[:self.m * self.n].reshape(self.m, self.n)
             r_bc = r[self.m * self.n:]
             dQ = solve_linear_block(jac, -r_int, -r_bc)
-            s = cfg.damping
+            s = 1.0
             while True:
                 try:
                     r_new = self.residual(Q + s * dQ)
                     new_norm = float(np.max(np.abs(r_new)))
-                except (EvaluationError, DomainError, SingularStepError):
+                except (EvaluationError, SingularStepError):
                     new_norm = np.inf
                 if new_norm < norm:
                     break
                 s *= 0.5
-                if s < cfg.min_damping:
+                if s < MIN_DAMPING:
                     raise NonConvergence(
                         f"line search stalled at residual {norm:.3e}")
             Q += s * dQ
@@ -430,7 +428,7 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
     last_norm = np.inf
     history = []
     converged = False
-    for outer in range(cfg.max_outer):
+    for outer in range(MAX_OUTER):
         if strategy is not None:
             assigned = EvolvingMesh(mesh.U, mesh.T,
                                     strategy.assign(mesh, system, bc))
@@ -472,5 +470,5 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
         total_iters += iters
     raise NonConvergence(
         f"transform assignment and refinement did not settle in "
-        f"{cfg.max_outer} outer iterations")
+        f"{MAX_OUTER} outer iterations")
 

@@ -14,6 +14,7 @@ from stiffbvp import (ColdStartFailure, ConfigError, ContinuationOracle,
                       error_curve, export_solution, from_second_order,
                       import_solution, run_continuation, solve_spec, troesch,
                       uniform_mesh, write_error_curve, write_srn_result)
+from stiffbvp.mesh import MAX_KNOTS
 
 from conftest import ENERGY_REFS, intervals, rel_err, zones_of
 
@@ -54,7 +55,7 @@ def test_cold_start_mesh_is_capped():
     # refinement also enforces
     with pytest.raises(ConfigError, match="intervals, got 11111111"):
         uniform_mesh(troesch(3.0), 9e-8)
-    assert RefinementConfig(M=0.1, h_min=0.1, h_max=0.1).max_knots == 10 ** 7
+    assert MAX_KNOTS == 10 ** 7
 
 
 def test_continuation_lambda_does_not_drift():

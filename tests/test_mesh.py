@@ -199,9 +199,10 @@ def test_refine_respects_h_min():
     assert (out.natural_steps() >= 0.05 * (1 - 1e-9)).all()
 
 
-def test_refine_knot_cap():
+def test_refine_knot_cap(monkeypatch):
+    monkeypatch.setattr("stiffbvp.mesh.MAX_KNOTS", 100)
     mesh = init_linear(0.0, 1.0, 2, (0.0, 1.0))
-    cfg = RefinementConfig(M=10.0, h_min=1e-4, h_max=1e-4, max_knots=100)
+    cfg = RefinementConfig(M=10.0, h_min=1e-4, h_max=1e-4)
     with pytest.raises(RefinementError):
         refine(mesh, _constant_system(), cfg)
 

@@ -1,7 +1,5 @@
 """Problem catalog and embedded reference data."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,8 @@ from stiffbvp import (ConfigError, IdentityStrategy, NewtonConfig,
                       eval_rhs, linear_verification, problem_by_name,
                       reference_lookup, solve_spec, troesch,
                       troesch_endpoints, uniform_mesh)
-from stiffbvp.problems import _TROESCH_REFERENCE, export_reference
+from stiffbvp import problems
+from stiffbvp.problems import _TROESCH_REFERENCE
 
 from conftest import ENERGY_REFS, rel_err
 
@@ -108,16 +107,35 @@ def test_troesch_supplies_reference_fn():
     assert linear_verification().reference_fn is None
 
 
-def test_export_reference(tmp_path):
-    path = tmp_path / "refs.csv"
-    export_reference(_TROESCH_REFERENCE, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["lambda", "u2_0", "u2_1", "source"]
-    assert len(rows) == 1 + len(_TROESCH_REFERENCE.entries)
-    by_lam = {float(r[0]): r for r in rows[1:]}
-    assert float(by_lam[50.0][1]) == 1.542999878e-21
-    assert by_lam[300.0][1] == ""       # missing value stays empty
+@pytest.mark.parametrize("lam", [0.01, 0.05, 0.09])
+def test_first_integral_reference_small_lambda(lam):
+    # u2(0) is near 1 here; the root must not sit at a bracket end
+    spec = troesch(lam)
+    sol = solve_spec(spec, uniform_mesh(spec, 1e-3), IdentityStrategy())
+    assert rel_err(troesch_endpoints(lam)[0], sol.mesh.U[0, 1]) <= 1e-6
+
+
+def test_first_integral_reference_range():
+    # u2(0) is about 8*exp(-lam), under the bracket's 1e-300 past lam 692
+    assert troesch_endpoints(690.0)[0] > 1e-300
+    with pytest.raises(ConfigError, match="below 1e-300"):
+        troesch_endpoints(700.0)
+
+
+def test_first_integral_reference_is_cheap(monkeypatch):
+    # one quadrature evaluates _log_sinh once, and so does the setup
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return log_sinh(x)
+
+    log_sinh = problems._log_sinh
+    monkeypatch.setattr(problems, "_log_sinh", counted)
+    for lam in (0.1, 1.0, 3.0, 5.0, 10.0, 50.0, 100.0, 200.0, 500.0):
+        calls.clear()
+        troesch_endpoints(lam)
+        assert len(calls) <= 15, lam
 
 
 def test_problem_by_name():

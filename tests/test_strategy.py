@@ -5,7 +5,7 @@ import pytest
 
 from stiffbvp import (AutoStrategy, ConfigError, GrowthZoneStrategy,
                       IdentityStrategy, NewtonConfig, RefinementConfig,
-                      SteepGrowthZoneStrategy, StiffnessConfig, StrategyError,
+                      SteepGrowthZoneStrategy, StrategyError,
                       select_flips, select_swap_index, solve_spec,
                       stiffness_measure, strategy_by_name, troesch,
                       uniform_mesh)
@@ -32,20 +32,10 @@ def _solved_troesch(lam, strategy=None, h=0.05, rcfg=None):
 # -- primitives -----------------------------------------------------------
 
 def test_stiffness_measure_values():
-    cfg = StiffnessConfig()
-    zero = stiffness_measure(np.zeros(2), np.zeros(2), cfg)
+    zero = stiffness_measure(np.zeros(2), np.zeros(2))
     np.testing.assert_array_equal(zero, [0.0, 0.0])
-    out = stiffness_measure(np.array([2.0, 0.0]), np.array([4.0, 0.0]), cfg)
+    out = stiffness_measure(np.array([2.0, 0.0]), np.array([4.0, 0.0]))
     assert out[0] == 3.0
-
-
-def test_stiffness_config_validation():
-    with pytest.raises(ConfigError):
-        StiffnessConfig(theta=1.0)
-    with pytest.raises(ConfigError):
-        StiffnessConfig(alpha=0.0, beta=0.0)
-    with pytest.raises(ConfigError):
-        StiffnessConfig(alpha=-1.0)
 
 
 def test_select_swap_index():
@@ -176,5 +166,3 @@ def test_strategy_by_name():
                       SteepGrowthZoneStrategy)
     with pytest.raises(ConfigError):
         strategy_by_name("nope")
-    custom = strategy_by_name("auto", StiffnessConfig(theta=50.0))
-    assert custom.cfg.theta == 50.0

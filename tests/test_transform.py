@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiffbvp import (DomainError, EvaluationError, IDENTITY, OdeSystem,
-                      Transform, apply, eval_jacobian_batch, fd_jacobian,
-                      flip_system, map_state, state_jacobian, swap_system,
-                      troesch, unmap_state)
+from stiffbvp import (EvaluationError, IDENTITY, OdeSystem, Transform, apply,
+                      eval_jacobian_batch, fd_jacobian, map_state,
+                      state_jacobian, troesch, unmap_state)
 
 RNG = np.random.default_rng(1234)
 
@@ -86,7 +85,7 @@ def test_label_parse_round_trip(swap, flips):
 
 def test_flip_involution():
     system = _quadratic_system()
-    double = flip_system(flip_system(system, 2), 2)
+    double = apply(Transform(flips={2}), apply(Transform(flips={2}), system))
     for _ in range(300):
         u = RNG.uniform(-2, 2, size=2)
         t = RNG.uniform(0, 1)
@@ -98,7 +97,7 @@ def test_flip_involution():
 
 def test_swap_involution():
     system = _quadratic_system()
-    double = swap_system(swap_system(system, 1), 1)
+    double = apply(Transform(swap=1), apply(Transform(swap=1), system))
     for _ in range(300):
         u = RNG.uniform(-2, 2, size=2)
         t = RNG.uniform(0, 1)
@@ -110,8 +109,8 @@ def test_swap_involution():
 
 def test_swap_flip_commute():
     system = _quadratic_system()
-    a = swap_system(flip_system(system, 2), 1)
-    b = flip_system(swap_system(system, 1), 2)
+    a = apply(Transform(swap=1), apply(Transform(flips={2}), system))
+    b = apply(Transform(flips={2}), apply(Transform(swap=1), system))
     for _ in range(300):
         v = RNG.uniform(-2, 2, size=2)
         w = RNG.uniform(-2, 2)
@@ -127,7 +126,7 @@ def test_swap_flip_commute():
 def test_one_dimensional_swap_of_constant():
     c = 2.5
     system = OdeSystem(1, lambda u, t: np.array([c]))
-    swapped = swap_system(system, 1)
+    swapped = apply(Transform(swap=1), system)
     out = swapped.rhs(np.array([0.3]), 0.7)
     np.testing.assert_allclose(out, [1.0 / c], rtol=1e-14)
 
@@ -135,7 +134,7 @@ def test_one_dimensional_swap_of_constant():
 def test_one_dimensional_flip_of_linear():
     # u' = u becomes w' = -(1/w) * w**2 = -w
     system = OdeSystem(1, lambda u, t: np.array([float(u[0])]))
-    flipped = flip_system(system, 1)
+    flipped = apply(Transform(flips={1}), system)
     for w in (0.2, -1.5, 3.0):
         np.testing.assert_allclose(flipped.rhs(np.array([w]), 0.0), [-w],
                                    rtol=1e-14)
@@ -144,7 +143,7 @@ def test_one_dimensional_flip_of_linear():
 def test_swap2_of_troesch():
     # G = (1 / (lam*sinh(lam*v1))) * (w, 1) with v = (u1, t), indep w = u2
     lam = 3.0
-    tsys = swap_system(troesch(lam).system, 2)
+    tsys = apply(Transform(swap=2), troesch(lam).system)
     for _ in range(100):
         v1 = RNG.uniform(0.05, 1.5)
         t = RNG.uniform(0, 1)
@@ -157,7 +156,7 @@ def test_swap2_of_troesch():
 def test_swap1_of_troesch():
     # G = (1/v2) * (1, lam*sinh(lam*u)) with v = (t, u2), indep u = u1
     lam = 3.0
-    tsys = swap_system(troesch(lam).system, 1)
+    tsys = apply(Transform(swap=1), troesch(lam).system)
     for _ in range(100):
         t = RNG.uniform(0, 1)
         v2 = RNG.uniform(0.1, 3.0)
@@ -195,21 +194,21 @@ def test_apply_identity_is_noop():
 def test_swap_zero_denominator_raises():
     system = OdeSystem(2, lambda u, t: np.array([0.0, 1.0]))
     with pytest.raises(EvaluationError):
-        swap_system(system, 1).rhs(np.array([0.5, 0.5]), 0.0)
+        apply(Transform(swap=1), system).rhs(np.array([0.5, 0.5]), 0.0)
 
 
 def test_flip_zero_component_raises():
     system = _quadratic_system()
     with pytest.raises(EvaluationError):
-        flip_system(system, 2).rhs(np.array([1.0, 0.0]), 0.0)
+        apply(Transform(flips={2}), system).rhs(np.array([1.0, 0.0]), 0.0)
 
 
 def test_bad_indices_rejected():
     system = _quadratic_system()
     with pytest.raises(ValueError):
-        swap_system(system, 3)
+        apply(Transform(swap=3), system)
     with pytest.raises(ValueError):
-        flip_system(system, 0)
+        apply(Transform(flips={0}), system)
 
 
 # -- composed Jacobians ---------------------------------------------------
@@ -285,16 +284,16 @@ def test_swap_jacobian_zero_denominator_raises():
     system = OdeSystem(2, lambda u, t: np.array([0.0, 1.0]),
                        jac=lambda u, t: np.zeros((2, 3)))
     with pytest.raises(EvaluationError):
-        swap_system(system, 1).jac(np.array([0.5, 0.5]), 0.0)
+        apply(Transform(swap=1), system).jac(np.array([0.5, 0.5]), 0.0)
 
 
 def test_flip_jacobian_zero_component_raises():
     system = troesch(2.0).system
     with pytest.raises(EvaluationError):
-        flip_system(system, 2).jac(np.array([1.0, 0.0]), 0.0)
+        apply(Transform(flips={2}), system).jac(np.array([1.0, 0.0]), 0.0)
     X = np.array([[1.0, 0.5], [2.0, 0.0]])
     with pytest.raises(EvaluationError):
-        flip_system(system, 2).jac(X, np.zeros(2))
+        apply(Transform(flips={2}), system).jac(X, np.zeros(2))
 
 
 @pytest.mark.parametrize("label", STRATEGY_TRANSFORMS)
@@ -347,9 +346,10 @@ def test_unmap_state_examples():
 
 
 def test_map_state_zero_flip_component_raises():
-    with pytest.raises(DomainError):
+    with pytest.raises(EvaluationError) as exc:
         map_state(Transform(flips={2}), np.array([1.0, 0.0]), 0.0)
-    with pytest.raises(DomainError):
+    assert exc.value.component == 2
+    with pytest.raises(EvaluationError):
         unmap_state(Transform(flips={2}), np.array([1.0, 0.0]), 0.0)
 
 
