@@ -34,8 +34,10 @@ class SingularStepError(StiffBvpError):
 
 
 class SingularLinearSystem(StiffBvpError):
-    """Newton linear system is singular.  ``pivot`` locates the failure:
-    either an interval index (block elimination) or ``"condensed"``."""
+    """Newton linear system is singular.  ``pivot`` is the index of the
+    interval that ends at the knot whose unknowns lost rank (interval 0
+    for knot 0), whether cyclic reduction or its dense tail found it; it
+    is None when the solve overflowed without an exactly zero pivot."""
 
     def __init__(self, message, pivot=None):
         super().__init__(message)

@@ -94,8 +94,9 @@ def troesch(lam: float) -> ProblemSpec:
 
 
 def _log_sinh(x):
-    """log(sinh(x)) for x > 0 without overflow."""
-    return x + np.log1p(-np.exp(-2.0 * x)) - math.log(2.0)
+    """log(sinh(x)) for x > 0 without overflow, to rounding also for
+    small x (expm1 keeps 1 - exp(-2x) exact to rounding)."""
+    return x + np.log(-np.expm1(-2.0 * x)) - math.log(2.0)
 
 
 def troesch_endpoints(lam: float) -> Tuple[float, float]:
@@ -111,9 +112,11 @@ def troesch_endpoints(lam: float) -> Tuple[float, float]:
         V = asinh(sinh(lam/2) / (s/2)),
 
     whose integrand is smooth.  Composite Gauss-Legendre evaluates it in
-    log space, and false position on log s finds the root to the last bit
-    in 4 to 12 evaluations for lam in [0.1, 500].  Past lam = 692, s is
-    below 1e-300 and ConfigError is raised.
+    log space, and false position on log s, bracketed from the linearized
+    problem, finds the root to the last bit in 3 to 11 evaluations for
+    lam in [0.001, 690] and in at most 15 for lam in [1e-8, 0.001), where
+    s agrees with lam/sinh(lam) to 1e-14.  Past lam = 692, s is below
+    1e-300 and ConfigError is raised.
     """
     nodes, weights = np.polynomial.legendre.leggauss(24)
     half_lam = float(_log_sinh(lam / 2.0))        # log(sinh(lam/2))
@@ -129,29 +132,40 @@ def troesch_endpoints(lam: float) -> Tuple[float, float]:
             f = 1.0 / np.sqrt(1.0 + np.exp(2.0 * (log_half + _log_sinh(v))))
         return float(np.sum(rad * weights * f)) - lam
 
-    # 1e-300 <= s <= 1 for lam <= 692 (u is convex with mean slope 1, and
-    # s ~ 8*exp(-lam)); Illinois false position shrinks it to adjacent floats
-    lo, hi = math.log(1e-300), 0.0
+    # s is at most lam/sinh(lam), the slope of the linearized problem
+    # u'' = lam**2 u (sinh(lam*u) >= lam*u for u >= 0), plus a margin for
+    # rounding, and it is not a factor e*(1+lam) below that: s ~ 8*exp(-lam)
+    # for large lam.  Anderson-Bjorck false position narrows the bracket
+    # until s is fixed to the last bit.
+    hi = math.log(lam) - float(_log_sinh(lam)) + 1e-12
+    lo = max(hi - 1.0 - math.log1p(lam), math.log(1e-300))
     f_lo, f_hi = excess(lo), excess(hi)
+    if not f_hi < 0:
+        # the margin did not cover the rounding; s < 1 holds for every lam
+        hi, f_hi = 0.0, excess(0.0)
     if not f_lo > 0:
         raise ConfigError(f"u2(0) of troesch({lam:g}) is below 1e-300")
     x, side = hi, 0
-    while True:
+    while hi - lo > 2.0 * np.finfo(float).eps:
         x_new = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo < x_new < hi:
             break
         x = x_new
         fx = excess(x)
+        if fx == 0.0:
+            break
+        # a second step on the same side scales the far end's value by the
+        # Anderson-Bjorck factor
         if fx > 0:
-            lo, f_lo = x, fx
             if side > 0:
-                f_hi *= 0.5
-            side = 1
+                g = 1.0 - fx / f_lo
+                f_hi *= g if g > 0 else 0.5
+            lo, f_lo, side = x, fx, 1
         else:
-            hi, f_hi = x, fx
             if side < 0:
-                f_lo *= 0.5
-            side = -1
+                g = 1.0 - fx / f_hi
+                f_lo *= g if g > 0 else 0.5
+            hi, f_hi, side = x, fx, -1
     s = math.exp(x)
     return s, math.hypot(s, 2.0 * math.exp(half_lam))
 

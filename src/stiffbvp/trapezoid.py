@@ -31,6 +31,11 @@ from .transform import (Transform, apply, map_state, state_jacobian,
 # knots per batched Jacobian evaluation: bounds the temporaries of the
 # composed swap/flip Jacobians on large meshes
 _JAC_CHUNK = 32768
+# pairs per batch of reflections in a cyclic-reduction level: bounds the
+# temporaries and keeps a batch in cache on large meshes
+_CR_CHUNK = 4096
+# cyclic reduction stops once at most this many unknowns are left
+_DENSE_TAIL = 64
 
 MAX_ITERS = 50              # Newton steps per sweep
 MIN_DAMPING = 2.0 ** -20    # line-search floor; it starts at the full step
@@ -310,8 +315,10 @@ class _Sweep:
     def run(self, cfg: NewtonConfig):
         Q = self.Q0.copy()
         self.last_Q = Q
+        # the residual of last_Q; inf until the first one is evaluated
+        self.norm = np.inf
         r = self.residual(Q)
-        norm = float(np.max(np.abs(r)))
+        norm = self.norm = float(np.max(np.abs(r)))
         iters = 0
         while norm > cfg.tol:
             if iters >= MAX_ITERS:
@@ -337,6 +344,7 @@ class _Sweep:
             Q += s * dQ
             self.last_Q = Q
             r, norm = r_new, new_norm
+            self.norm = norm
             iters += 1
         U, T = self.states(Q)
         mesh = EvolvingMesh(U, T, self.zones)
@@ -363,49 +371,132 @@ def solve_linear_block(jac: BlockJacobian, rhs_int: np.ndarray,
 
         A[i] x_i + B[i] x_{i+1} = rhs_int[i],   C x_0 + D x_m = rhs_bc
 
-    by forward elimination: every x_{i+1} is expressed as an affine
-    function of x_0, then the boundary rows give a dense n x n system for
-    x_0.  Returns the solution as an (m+1, n) array.
+    by block cyclic reduction with orthogonal elimination (S. J. Wright,
+    SIAM J. Sci. Stat. Comput. 13, 1992), which stays backward stable when
+    growing and decaying modes coexist.  Each level pairs the rows of
+    intervals 2k and 2k+1, which share the unknown x_{2k+1}, and
+    triangularizes its columns by Householder reflections: the pair's top
+    n rows give x_{2k+1} from its neighbours, and its bottom n rows become
+    a row of the coarser level coupling x_{2k} and x_{2k+2}.  x_0 and x_m
+    survive every level, so once at most _DENSE_TAIL unknowns, or a single
+    row, are left, one dense solve with the boundary rows finishes, and
+    back-substitution runs down the levels.  Returns the solution as an
+    (m+1, n) array.
     """
-    A, B, C, D = jac.A, jac.B, jac.C, jac.D
-    m, n, _ = A.shape
-    try:
-        Binv = np.linalg.inv(B)
-    except np.linalg.LinAlgError:
-        dets = np.abs(np.linalg.det(B))
-        raise SingularLinearSystem(
-            "singular interval block", pivot=int(np.argmin(dets)))
-    E = -np.matmul(Binv, A)                              # (m, n, n)
-    G = np.matmul(Binv, rhs_int[:, :, None])[:, :, 0]    # (m, n)
-    # inclusive prefix scan of the affine maps x -> E x + g by doubling:
-    # after the scan, scanE[i], scanG[i] compose intervals 0..i
-    scanE = E.copy()
-    scanG = G.copy()
-    d = 1
-    while d < m:
-        newE = np.matmul(scanE[d:], scanE[:-d])
-        newG = (np.matmul(scanE[d:], scanG[:-d, :, None])[:, :, 0]
-                + scanG[d:])
-        scanE[d:] = newE
-        scanG[d:] = newG
-        d *= 2
-    P = np.empty((m + 1, n, n))
-    f = np.empty((m + 1, n))
-    P[0] = np.eye(n)
-    f[0] = 0.0
-    P[1:] = scanE
-    f[1:] = scanG
-    K = C + D @ P[m]
-    rhs0 = rhs_bc - D @ f[m]
-    try:
-        x0 = np.linalg.solve(K, rhs0)
-    except np.linalg.LinAlgError:
-        raise SingularLinearSystem("singular condensed boundary system",
-                                   pivot="condensed")
-    X = np.matmul(P, x0) + f
+    m, n, _ = jac.A.shape
+    # a level's rows L[..., i] y_i + R[..., i] y_{i+1} = r[:, i]; its
+    # unknown y_i is x at knot i * stride, except the last, which is x_m
+    L, R, r = jac.A.transpose(1, 2, 0), jac.B.transpose(1, 2, 0), rhs_int.T
+    stride = 1
+    levels = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while L.shape[2] > 1 and (L.shape[2] + 1) * n > _DENSE_TAIL:
+            top, rows = _reduce_level(L, R, r, stride)
+            levels.append(top)
+            L, R, r = rows[:, :n], rows[:, n:2 * n], rows[:, 2 * n]
+            stride *= 2
+        X = _dense_tail(L, R, r, jac.C, jac.D, rhs_bc, stride, m)
+        while levels:
+            X = _back_substitute(levels.pop(), X)
     if not np.isfinite(X).all():
-        raise SingularLinearSystem("overflow during block elimination",
-                                   pivot="condensed")
+        raise SingularLinearSystem("overflow in the block solve")
+    return X
+
+
+def _singular(knot: int) -> SingularLinearSystem:
+    """The error for a column of knot's unknowns that lost rank, named by
+    the interval that ends at that knot (interval 0 for knot 0)."""
+    interval = max(knot - 1, 0)
+    return SingularLinearSystem(f"singular interval block {interval}",
+                                pivot=interval)
+
+
+def _reduce_level(L: np.ndarray, R: np.ndarray, r: np.ndarray, stride: int):
+    """One level of cyclic reduction over M rows, stored along the last
+    axis: L and R of shape (n, n, M), r of shape (n, M).
+
+    Returns the pairs' top rows, shape (n, 3n+1, M // 2), with columns
+    [y_mid | y_left | y_right | rhs] and the y_mid block upper triangular,
+    and the coarser level's rows [L | R | r], shape (n, 2n+1, M // 2 + M % 2),
+    whose last row is the odd last row carried up unchanged.
+    """
+    n, _, M = L.shape
+    K = M // 2
+    top = np.empty((n, 3 * n + 1, K))
+    coarse = np.empty((n, 2 * n + 1, K + M % 2))
+    for s in range(0, K, _CR_CHUNK):
+        e = min(s + _CR_CHUNK, K)
+        ev, od = slice(2 * s, 2 * e, 2), slice(2 * s + 1, 2 * e, 2)
+        P = np.zeros((2 * n, 3 * n + 1, e - s))
+        P[:n, :n] = R[..., ev]
+        P[:n, n:2 * n] = L[..., ev]
+        P[:n, 3 * n] = r[:, ev]
+        P[n:, :n] = L[..., od]
+        P[n:, 2 * n:3 * n] = R[..., od]
+        P[n:, 3 * n] = r[:, od]
+        for j in range(n):
+            # reflect rows j.. by H = I - 2 v v^T / (v^T v), v = x - alpha e_0
+            # with alpha = -sign(x_0) |x|, so v^T v = -2 alpha v_0 and H takes
+            # column j to alpha e_0 (up to rounding below the diagonal, which
+            # nothing reads).  A zero column leaves the pair's y_mid
+            # undetermined; it raises before its reflector is formed.
+            v = P[j:, j].copy()
+            norm = np.sqrt(np.add.reduce(v * v))
+            if np.count_nonzero(norm) < len(norm):
+                raise _singular((2 * (s + int(np.argmin(norm))) + 1) * stride)
+            minus_alpha = np.copysign(norm, v[0])
+            v[0] += minus_alpha
+            S = P[j:, j:]
+            w = np.einsum("ik,ijk->jk", v, S)
+            w /= minus_alpha * v[0]
+            S -= v[:, None] * w
+        top[..., s:e] = P[:n]
+        coarse[..., s:e] = P[n:, n:]
+    if M % 2:
+        coarse[:, :n, K] = L[..., M - 1]
+        coarse[:, n:2 * n, K] = R[..., M - 1]
+        coarse[:, 2 * n, K] = r[:, M - 1]
+    return top, coarse
+
+
+def _dense_tail(L: np.ndarray, R: np.ndarray, r: np.ndarray, C: np.ndarray,
+                D: np.ndarray, rhs_bc: np.ndarray, stride: int,
+                m: int) -> np.ndarray:
+    """Solve the last level's rows and the boundary rows as one dense
+    system; returns the level's unknowns as an (M+1, n) array."""
+    n, _, M = L.shape
+    J = np.zeros(((M + 1) * n, (M + 1) * n))
+    J4 = J.reshape(M + 1, n, M + 1, n)
+    k = np.arange(M)
+    J4[k, :, k, :] = L.transpose(2, 0, 1)
+    J4[k, :, k + 1, :] = R.transpose(2, 0, 1)
+    J4[M, :, 0, :] = C
+    J4[M, :, M, :] = D
+    try:
+        X = np.linalg.solve(J, np.concatenate([r.T.ravel(), rhs_bc]))
+    except np.linalg.LinAlgError:
+        # the smallest diagonal entry of R marks the column that lost rank
+        col = int(np.argmin(np.abs(np.diag(np.linalg.qr(J, mode="r")))))
+        raise _singular(min(col // n * stride, m)) from None
+    return X.reshape(M + 1, n)
+
+
+def _back_substitute(top: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Unknowns of a level from those of the coarser level Z: every
+    surviving unknown is copied, and each pair's y_mid solves its
+    triangular top rows."""
+    n, _, K = top.shape
+    X = np.empty((len(Z) + K, n))
+    # the survivors: every other unknown, and the last
+    X[::2] = Z[:K + 1]
+    X[-1] = Z[-1]
+    Zt = Z.T
+    sides = np.concatenate((Zt[:, :K], Zt[:, 1:K + 1]))
+    y = top[:, 3 * n] - np.add.reduce(top[:, n:3 * n] * sides, axis=1)
+    for j in reversed(range(n)):
+        y[j] /= top[j, j]
+        y[:j] -= top[:j, j] * y[j]
+    X[1:2 * K:2] = y.T
     return X
 
 
@@ -418,7 +509,10 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
     Newton sweep; the solve is finished once a converged sweep is followed
     by a no-op reassignment, normalization and refinement.  With
     ``rcfg=None`` the mesh topology is kept fixed (no refinement, no
-    decimation).
+    decimation).  A failed sweep is repaired by decimating its degenerate
+    knots; when the sweep after a repair fails on the same zones and knot
+    count at a residual no lower than before, the repair has undone
+    nothing, and that sweep's error is raised.
     """
     mesh = problem.mesh
     system, bc = problem.system, problem.bc
@@ -428,6 +522,7 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
     last_norm = np.inf
     history = []
     converged = False
+    repaired_failure = None     # (zones, knots, residual) of a repaired sweep
     for outer in range(MAX_OUTER):
         if strategy is not None:
             assigned = EvolvingMesh(mesh.U, mesh.T,
@@ -453,11 +548,21 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
         try:
             mesh, iters, last_norm = sweep.run(cfg)
             converged = True
-        except (SingularStepError, NonConvergence):
+            repaired_failure = None
+        except (SingularStepError, NonConvergence) as err:
             # the iterate may have collapsed or inverted an interval in its
             # natural variable (a zone-boundary zigzag); decimate the
             # degenerate knots from the best iterate and retry, and give up
-            # only if there is nothing left to repair
+            # if there is nothing left to repair or the last repair did not
+            # help
+            failure = (mesh.zones, mesh.knot_count, sweep.norm)
+            if (repaired_failure is not None
+                    and failure[:2] == repaired_failure[:2]
+                    and failure[2] >= repaired_failure[2]):
+                raise type(err)(
+                    f"{err} (outer iteration {outer}, {mesh.knot_count} "
+                    f"knots, again after a repair)") from err
+            repaired_failure = failure
             U, T = sweep.states(sweep.last_Q)
             stalled = EvolvingMesh(U, T, mesh.zones)
             repair_tol = rcfg.h_min * 0.5 if rcfg is not None else 1e-14

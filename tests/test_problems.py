@@ -115,6 +115,12 @@ def test_first_integral_reference_small_lambda(lam):
     assert rel_err(troesch_endpoints(lam)[0], sol.mesh.U[0, 1]) <= 1e-6
 
 
+@pytest.mark.parametrize("lam", [1e-8, 1e-6, 1e-4])
+def test_first_integral_reference_tiny_lambda(lam):
+    # u2(0) is lam/sinh(lam) less O(lam**4), far below rounding here
+    assert rel_err(troesch_endpoints(lam)[0], lam / np.sinh(lam)) <= 1e-13
+
+
 def test_first_integral_reference_range():
     # u2(0) is about 8*exp(-lam), under the bracket's 1e-300 past lam 692
     assert troesch_endpoints(690.0)[0] > 1e-300
@@ -123,7 +129,7 @@ def test_first_integral_reference_range():
 
 
 def test_first_integral_reference_is_cheap(monkeypatch):
-    # one quadrature evaluates _log_sinh once, and so does the setup
+    # one quadrature evaluates _log_sinh once, and the setup twice
     calls = []
 
     def counted(x):
@@ -132,7 +138,8 @@ def test_first_integral_reference_is_cheap(monkeypatch):
 
     log_sinh = problems._log_sinh
     monkeypatch.setattr(problems, "_log_sinh", counted)
-    for lam in (0.1, 1.0, 3.0, 5.0, 10.0, 50.0, 100.0, 200.0, 500.0):
+    for lam in (0.01, 0.05, 0.09, 0.1, 1.0, 3.0, 5.0, 10.0, 50.0, 100.0,
+                200.0, 500.0):
         calls.clear()
         troesch_endpoints(lam)
         assert len(calls) <= 15, lam

@@ -1,15 +1,21 @@
 """Discretization residual, block Jacobian, linear solve, Newton loop."""
 
 import dataclasses
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import stiffbvp
 from stiffbvp import (BoundaryConditions, ConfigError, EvaluationError,
-                      EvolvingMesh, IdentityStrategy, NewtonConfig,
-                      NonStationaryBoundary, OdeSystem, SegmentedProblem,
-                      SingularLinearSystem, SingularStepError, Transform,
-                      assemble_jacobian, assemble_residual, from_second_order,
+                      EvolvingMesh, GrowthZoneStrategy, IdentityStrategy,
+                      NewtonConfig, NonConvergence, NonStationaryBoundary,
+                      OdeSystem, RefinementConfig, SegmentedProblem,
+                      SingularLinearSystem, SingularStepError,
+                      SteepGrowthZoneStrategy, Transform, assemble_jacobian,
+                      assemble_residual, from_second_order, import_solution,
                       linear_verification, newton_solve, solve_linear_block,
                       solve_spec, troesch, uniform_mesh)
 from stiffbvp import trapezoid
@@ -318,6 +324,123 @@ def test_block_solve_singular_interval_block():
     assert exc.value.pivot == 1
 
 
+def _dense_solution(jac, rhs_int, rhs_bc):
+    return np.linalg.solve(jac.todense(),
+                           np.concatenate([rhs_int.ravel(), rhs_bc]))
+
+
+# m = 101 and 200 are above the dense tail for every n; 101 carries an odd
+# row up at three levels, and 200 reduces three levels at n = 2, four at 3
+@pytest.mark.parametrize("m", [1, 2, 3, 101, 200])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("bc", ["separated", "periodic"])
+def test_block_solve_matches_dense(m, n, bc):
+    rng = np.random.default_rng(1000 * m + 10 * n + (bc == "periodic"))
+    jac = _random_block_system(rng, m, n)
+    if bc == "periodic":
+        # x_0 - x_m = rhs_bc couples both ends in every row
+        jac.C, jac.D = np.eye(n), -np.eye(n)
+    rhs_int = rng.uniform(-1, 1, size=(m, n))
+    rhs_bc = rng.uniform(-1, 1, size=n)
+    X = solve_linear_block(jac, rhs_int, rhs_bc)
+    assert X.shape == (m + 1, n)
+    np.testing.assert_allclose(X.ravel(),
+                               _dense_solution(jac, rhs_int, rhs_bc),
+                               rtol=1e-10, atol=1e-10)
+
+
+# with n = 33 even a single row has more unknowns than the dense tail:
+# reduction stops at one row, whose two knots the tail solves
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_block_solve_wide_blocks(m):
+    rng = np.random.default_rng(m)
+    n = 33
+    jac = _random_block_system(rng, m, n)
+    jac.B += 10.0 * np.eye(n)
+    rhs_int = rng.uniform(-1, 1, size=(m, n))
+    rhs_bc = rng.uniform(-1, 1, size=n)
+    X = solve_linear_block(jac, rhs_int, rhs_bc)
+    assert X.shape == (m + 1, n)
+    np.testing.assert_allclose(X.ravel(),
+                               _dense_solution(jac, rhs_int, rhs_bc),
+                               rtol=1e-10, atol=1e-10)
+
+
+# the knot's columns are zero (B[knot-1] = A[knot] = 0): with m = 200,
+# knot 4 survives two levels and is eliminated, and found, at the third;
+# with m = 64, knot 8 survives both levels into the dense tail
+@pytest.mark.parametrize("m, knot", [(200, 4), (64, 8)])
+def test_block_solve_singular_block_at_reduced_level(m, knot):
+    rng = np.random.default_rng(7)
+    n = 2
+    jac = _random_block_system(rng, m, n)
+    jac.B[knot - 1] = 0.0
+    jac.A[knot] = 0.0
+    with pytest.raises(SingularLinearSystem,
+                       match=f"singular interval block {knot - 1}$") as exc:
+        solve_linear_block(jac, np.ones((m, n)), np.ones(n))
+    assert exc.value.pivot == knot - 1
+
+
+def _backward_error(jac, seed=0):
+    """||J x - b|| / (||J|| ||x|| + ||b||) in the max norm, for the solve
+    of b = J x_true with x_true ~ N(0, 1)."""
+    m, n, _ = jac.A.shape
+    x_true = np.random.default_rng(seed).standard_normal((m + 1, n))
+
+    def apply(x):
+        rows = (np.einsum("ijk,ik->ij", jac.A, x[:-1])
+                + np.einsum("ijk,ik->ij", jac.B, x[1:]))
+        return np.concatenate([rows.ravel(), jac.C @ x[0] + jac.D @ x[-1]])
+
+    b = apply(x_true)
+    x = solve_linear_block(jac, b[:m * n].reshape(m, n), b[m * n:])
+    row_sums = np.abs(jac.A).sum(axis=2) + np.abs(jac.B).sum(axis=2)
+    norm_J = max(row_sums.max(),
+                 (np.abs(jac.C).sum(axis=1) + np.abs(jac.D).sum(axis=1)).max())
+    return (np.abs(apply(x) - b).max()
+            / (norm_J * np.abs(x).max() + np.abs(b).max()))
+
+
+def test_block_solve_backward_stable_on_identity_cold_start():
+    # lam = 8 on the flat cold-start guess, h = 0.01: growing and decaying
+    # modes of rate 8 across 100 intervals
+    spec = troesch(8.0)
+    mesh = uniform_mesh(spec, 0.01)
+    jac = assemble_jacobian(SegmentedProblem(spec.system, spec.bc, mesh,
+                                             spec.domain))
+    assert _backward_error(jac) <= 1e-12
+
+
+def test_block_solve_backward_stable_on_three_zone_deep_layer():
+    # the coarse three-zone continuation of acceptance criterion 6 to
+    # lam = 50 (6,145 knots), where condensation lost every digit
+    strategy = SteepGrowthZoneStrategy()
+    coarse = RefinementConfig(M=0.1, h_min=1e-3, h_max=1e-2)
+    spec = troesch(3.0)
+    sol = solve_spec(spec, uniform_mesh(spec, 0.01), strategy,
+                     NewtonConfig(), coarse)
+    for lam in range(4, 51):
+        spec = troesch(float(lam))
+        sol = solve_spec(spec, sol.mesh, strategy, NewtonConfig(), coarse)
+    assert sol.mesh.knot_count == 6145
+    jac = assemble_jacobian(SegmentedProblem(spec.system, spec.bc, sol.mesh,
+                                             spec.domain))
+    assert _backward_error(jac) <= 1e-12
+
+
+def test_package_import_loads_no_scipy():
+    # the solver is numpy only; scipy would add its import time and memory
+    # to every run
+    src = str(pathlib.Path(stiffbvp.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import stiffbvp; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 # -- boundary handling ----------------------------------------------------
 
 def test_boundary_swap_requires_pin(troesch3):
@@ -374,6 +497,31 @@ def test_troesch_fixed_mesh_reference(troesch3):
     rel = abs(sol.mesh.U[0, 1] - ref) / ref
     assert rel < 2e-3
     assert sol.residual_norm <= 1e-10
+
+
+def test_repair_that_repeats_the_failure_stops(monkeypatch):
+    # the two-zone continuation of acceptance criterion 5 reaches lam = 123
+    # (the mesh below, saved by export_solution) and fails at 124: the
+    # sweep stalls, the repair merges 7 knots, refinement puts them back,
+    # and the same sweep stalls at the same residual
+    mesh = import_solution(
+        pathlib.Path(__file__).parent / "data" / "two_zone_lam123.csv")
+    sweeps = []
+    run = trapezoid._Sweep.run
+
+    def counted(self, cfg):
+        sweeps.append(self.m + 1)
+        return run(self, cfg)
+
+    monkeypatch.setattr(trapezoid._Sweep, "run", counted)
+    with pytest.raises(NonConvergence,
+                       match=r"line search stalled .*123 knots") as exc:
+        solve_spec(troesch(124.0), mesh, GrowthZoneStrategy(),
+                   NewtonConfig(),
+                   RefinementConfig(M=0.1, h_min=0.01, h_max=0.1))
+    assert len(sweeps) <= 3
+    assert sweeps[-1] == 123
+    assert "outer iteration" in str(exc.value)
 
 
 def test_newton_solve_diagnostics(troesch3):
