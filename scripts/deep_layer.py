@@ -11,7 +11,7 @@ import pathlib
 import sys
 
 from stiffbvp import (NewtonConfig, RefinementConfig, SteepGrowthZoneStrategy,
-                      export_solution, reference_lookup, solve_spec, troesch,
+                      export_solution, solve_spec, troesch, troesch_endpoints,
                       uniform_mesh)
 
 
@@ -42,10 +42,8 @@ def main(argv=None):
     d0, d1 = float(sol.mesh.U[0, 1]), float(sol.mesh.U[-1, 1])
     print(f"lambda={args.lam:g}: {sol.mesh.knot_count} knots, "
           f"u2(0)={d0:.9e}, u2(1)={d1:.9e}")
-    ref = reference_lookup(spec.reference, args.lam)
-    if ref is not None and ref[0] is not None:
-        print(f"reference u2(0)={ref[0]:.9e}, "
-              f"rel err {abs(d0 - ref[0]) / ref[0]:.3e}")
+    ref0 = troesch_endpoints(args.lam)[0]
+    print(f"reference u2(0)={ref0:.9e}, rel err {abs(d0 - ref0) / ref0:.3e}")
     path = out_dir / f"troesch_lam{args.lam:g}.csv"
     export_solution(sol, path)
     print(f"solution -> {path}")

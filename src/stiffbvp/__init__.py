@@ -18,8 +18,7 @@ from .errors import (ColdStartFailure, ConfigError, EvaluationError,
 from .mesh import (EvolvingMesh, RefinementConfig, init_linear, merge_runs,
                    normalize, refine)
 from .ode_system import (BoundaryConditions, OdeSystem, eval_jacobian_batch,
-                         eval_rhs, eval_rhs_batch, fd_jacobian,
-                         from_second_order)
+                         eval_rhs_batch, from_second_order)
 from .problems import (ProblemSpec, ReferenceTable, linear_verification,
                        problem_by_name, reference_lookup, troesch,
                        troesch_endpoints)

@@ -241,14 +241,12 @@ def error_curve(family: Callable[[float], ProblemSpec],
                 newton: NewtonConfig = NewtonConfig(),
                 rcfg: Optional[RefinementConfig] = None,
                 h0: float = 0.1,
-                oracle: Optional[ContinuationOracle] = None,
                 progress: bool = False) -> List[dict]:
     """Relative endpoint-derivative errors per lambda (cold starts).
 
     Failed solves produce a row with ``failed=True`` and no numbers.
     """
-    if oracle is None:
-        oracle = ContinuationOracle(family, progress=progress)
+    oracle = ContinuationOracle(family, progress=progress)
     h_test = rcfg.h_min if rcfg is not None else h0
     h_ref = h_test / _ORACLE_FINENESS
     rows = []

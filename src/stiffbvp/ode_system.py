@@ -92,25 +92,6 @@ class BoundaryConditions:
     pins: Mapping = field(default_factory=dict)
 
 
-def eval_rhs(system: OdeSystem, u, t):
-    """Evaluate F(u, t) for a single state, checking finiteness."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (system.n,):
-        raise ValueError(f"state must have shape ({system.n},), got {u.shape}")
-    # overflow to inf is expected near steep layers and reported below
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = np.asarray(system.rhs(u, t), dtype=float)
-    if out.shape != (system.n,):
-        raise EvaluationError(
-            f"rhs returned shape {out.shape}, expected ({system.n},)")
-    bad = ~np.isfinite(out)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise EvaluationError(
-            f"non-finite rhs component {j + 1} at t={t!r}", component=j + 1)
-    return out
-
-
 def _call_batch(fn: Callable, what: str, U, T):
     """fn(U, T) as a float array; the TypeError or ValueError with which a
     function that is not batch-safe fails becomes an EvaluationError."""
@@ -164,24 +145,6 @@ def eval_jacobian_batch(system: OdeSystem, U, T):
     if not np.isfinite(out).all():
         raise EvaluationError("non-finite Jacobian entry in batched "
                               "evaluation")
-    return out
-
-
-def fd_jacobian(system: OdeSystem, u, t):
-    """Central-difference Jacobian [dF/du | dF/dt] of the rhs."""
-    u = np.asarray(u, dtype=float)
-    n = system.n
-    out = np.empty((n, n + 1))
-    for j in range(n):
-        h = float(fd_step(u[j]))
-        up, um = u.copy(), u.copy()
-        up[j] += h
-        um[j] -= h
-        out[:, j] = (eval_rhs(system, up, t) - eval_rhs(system, um, t)) / (2 * h)
-    h = float(fd_step(t))
-    out[:, n] = (eval_rhs(system, u, t + h) - eval_rhs(system, u, t - h)) / (2 * h)
-    if not np.isfinite(out).all():
-        raise EvaluationError("non-finite finite-difference Jacobian entry")
     return out
 
 

@@ -99,11 +99,12 @@ class BlockJacobian:
     def todense(self) -> np.ndarray:
         m, n, _ = self.A.shape
         J = np.zeros(((m + 1) * n, (m + 1) * n))
-        for i in range(m):
-            J[i * n:(i + 1) * n, i * n:(i + 1) * n] = self.A[i]
-            J[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = self.B[i]
-        J[m * n:, :n] = self.C
-        J[m * n:, m * n:] = self.D
+        J4 = J.reshape(m + 1, n, m + 1, n)
+        k = np.arange(m)
+        J4[k, :, k, :] = self.A
+        J4[k, :, k + 1, :] = self.B
+        J4[m, :, 0, :] = self.C
+        J4[m, :, m, :] = self.D
         return J
 
 
@@ -465,13 +466,8 @@ def _dense_tail(L: np.ndarray, R: np.ndarray, r: np.ndarray, C: np.ndarray,
     """Solve the last level's rows and the boundary rows as one dense
     system; returns the level's unknowns as an (M+1, n) array."""
     n, _, M = L.shape
-    J = np.zeros(((M + 1) * n, (M + 1) * n))
-    J4 = J.reshape(M + 1, n, M + 1, n)
-    k = np.arange(M)
-    J4[k, :, k, :] = L.transpose(2, 0, 1)
-    J4[k, :, k + 1, :] = R.transpose(2, 0, 1)
-    J4[M, :, 0, :] = C
-    J4[M, :, M, :] = D
+    J = BlockJacobian(L.transpose(2, 0, 1), R.transpose(2, 0, 1), C,
+                      D).todense()
     try:
         X = np.linalg.solve(J, np.concatenate([r.T.ravel(), rhs_bc]))
     except np.linalg.LinAlgError:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from stiffbvp import (EvaluationError, OdeSystem, eval_jacobian_batch,
-                      eval_rhs, eval_rhs_batch, fd_jacobian,
-                      from_second_order, linear_verification, troesch)
+                      eval_rhs_batch, from_second_order, linear_verification,
+                      troesch)
 from stiffbvp.ode_system import FD_REL_STEP, fd_step
+
+from conftest import eval_rhs, fd_jacobian
 
 
 def test_troesch_rhs_values():

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from stiffbvp import (ConfigError, IdentityStrategy, NewtonConfig,
-                      eval_rhs, linear_verification, problem_by_name,
-                      reference_lookup, solve_spec, troesch,
-                      troesch_endpoints, uniform_mesh)
+                      linear_verification, problem_by_name, reference_lookup,
+                      solve_spec, troesch, troesch_endpoints, uniform_mesh)
 from stiffbvp import problems
 from stiffbvp.problems import _TROESCH_REFERENCE
 
-from conftest import ENERGY_REFS, rel_err
+from conftest import ENERGY_REFS, eval_rhs, rel_err
 
 
 def test_troesch_rhs_example():

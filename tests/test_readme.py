@@ -1,5 +1,5 @@
 """The README's library example and command lines run; the example reaches
-the reference answer."""
+the reference answer, and each command line writes its CSV."""
 
 import re
 import shlex
@@ -36,7 +36,8 @@ def _command_lines():
 
 def test_readme_command_lines(tmp_path, capsys):
     commands = _command_lines()
-    assert [words[0] for words in commands] == ["solve", "srn", "errors"]
+    assert [words[0] for words in commands] == (
+        ["solve", "srn", "errors"] + ["srn"] * 5 + ["errors"] * 3)
     for words in commands:
         out = words.index("--out") + 1
         words[out] = str(tmp_path / words[out])

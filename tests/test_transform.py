@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiffbvp import (EvaluationError, IDENTITY, OdeSystem, Transform, apply,
-                      eval_jacobian_batch, fd_jacobian, map_state,
-                      state_jacobian, troesch, unmap_state)
+                      eval_jacobian_batch, map_state, state_jacobian, troesch,
+                      unmap_state)
+
+from conftest import fd_jacobian
 
 RNG = np.random.default_rng(1234)
 
