@@ -80,9 +80,6 @@ class EvolvingMesh:
     def interval_count(self) -> int:
         return len(self.T) - 1
 
-    def copy(self) -> "EvolvingMesh":
-        return EvolvingMesh(self.U.copy(), self.T.copy(), self.zones)
-
     def natural_steps(self, signed: bool = False) -> np.ndarray:
         """tau_{i+1} - tau_i per interval, in each interval's own variable.
 

@@ -60,14 +60,19 @@ _TROESCH_REFERENCE = ReferenceTable(entries={
 })
 
 
+def _troesch_lambda(lam: float) -> float:
+    """lam as a float; ConfigError unless it is finite and positive."""
+    if not 0 < lam < math.inf:
+        raise ConfigError(f"lambda must be finite and positive, got {lam}")
+    return float(lam)
+
+
 def troesch(lam: float) -> ProblemSpec:
     """Troesch's problem as a first-order system on [0, 1].
 
         u1' = u2,   u2' = lam * sinh(lam * u1),   u1(0) = 0, u1(1) = 1
     """
-    if not lam > 0:
-        raise ConfigError("lambda must be positive")
-    lam = float(lam)
+    lam = _troesch_lambda(lam)
 
     def rhs(u, t):
         u1, u2 = u[0], u[1]
@@ -116,8 +121,9 @@ def troesch_endpoints(lam: float) -> Tuple[float, float]:
     problem, finds the root to the last bit in 3 to 11 evaluations for
     lam in [0.001, 690] and in at most 15 for lam in [1e-8, 0.001), where
     s agrees with lam/sinh(lam) to 1e-14.  Past lam = 692, s is below
-    1e-300 and ConfigError is raised.
+    1e-300 and ConfigError is raised, as it is for lam <= 0, nan or inf.
     """
+    lam = _troesch_lambda(lam)
     nodes, weights = np.polynomial.legendre.leggauss(24)
     half_lam = float(_log_sinh(lam / 2.0))        # log(sinh(lam/2))
 

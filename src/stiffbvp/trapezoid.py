@@ -45,7 +45,9 @@ MAX_OUTER = 40              # transform/refinement outer iterations
 @dataclass
 class SegmentedProblem:
     """An ODE system, its boundary conditions, a transformed mesh iterate,
-    and the fixed domain [a, b] of the original independent variable."""
+    and the fixed domain [a, b] of the original independent variable.
+    The domain fixes the end knots' natural coordinates; at an end that
+    swaps u_k, the pin of u_k there does, and its row reads t = a (t = b)."""
 
     system: OdeSystem
     bc: BoundaryConditions
@@ -108,53 +110,11 @@ class BlockJacobian:
         return J
 
 
-def check_boundary_transforms(mesh: EvolvingMesh, bc: BoundaryConditions):
-    """Reject swaps on boundary intervals whose component is not pinned.
-
-    Returns the substituted bc rows (left_row, right_row); each is None
-    when the corresponding end keeps its original condition.
-    """
-    sub = []
-    for side, tr in (("a", mesh.zones[0][0]), ("b", mesh.zones[-1][0])):
-        if tr.swap is None:
-            sub.append(None)
-            continue
-        pin = bc.pins.get((side, tr.swap))
-        if pin is None:
-            raise NonStationaryBoundary(
-                f"swap of component {tr.swap} on the {side}-side interval "
-                f"needs a Dirichlet condition pinning it there")
-        sub.append(int(pin[0]))
-    return tuple(sub)
-
-
-def anchor_pins(mesh: EvolvingMesh, bc: BoundaryConditions, a: float,
-                b: float) -> EvolvingMesh:
-    """Impose Dirichlet data that acts as a fixed natural coordinate.
-
-    When a boundary interval carries a swap, the pinned component becomes
-    that knot's tau and is set to the pinned value exactly; without a swap
-    the knot's t is re-anchored to the domain end."""
-    out = mesh.copy()
-    tr0, trm = out.zones[0][0], out.zones[-1][0]
-    if tr0.swap is not None:
-        pin = bc.pins.get(("a", tr0.swap))
-        if pin is not None:
-            out.U[0, tr0.swap - 1] = pin[1]
-    else:
-        out.T[0] = a
-    if trm.swap is not None:
-        pin = bc.pins.get(("b", trm.swap))
-        if pin is not None:
-            out.U[-1, trm.swap - 1] = pin[1]
-    else:
-        out.T[-1] = b
-    return out
-
-
 class _Sweep:
     """One fixed-structure Newton solve: mesh topology, zones and all knot
-    tau values are frozen; only the free coordinates move."""
+    tau values are frozen; only the free coordinates move.  The end taus are
+    set as SegmentedProblem says; ``sub_left`` and ``sub_right`` are the
+    rows of the pins that then read t = a and t = b, None without a swap."""
 
     def __init__(self, problem: SegmentedProblem):
         mesh = problem.mesh
@@ -164,8 +124,6 @@ class _Sweep:
         self.n = mesh.n
         self.m = mesh.interval_count
         self.zones = mesh.zones
-        self.sub_left, self.sub_right = check_boundary_transforms(
-            mesh, problem.bc)
         self.tsys = {tr: apply(tr, self.system) for tr, _, _ in self.zones}
         # knot i is owned by interval i-1 (knot 0 by interval 0), so a zone
         # owns the knots after its start through its stop
@@ -178,6 +136,18 @@ class _Sweep:
             q, self.tau[knots] = map_state(owner, mesh.U[knots].T,
                                            mesh.T[knots])
             self.Q0[knots] = q.T
+        # the end knots' taus come from the domain or a boundary swap's pin
+        subs = []
+        for knot, side, t in ((0, "a", self.a), (-1, "b", self.b)):
+            k = self.zones[knot][0].swap
+            pin = (None, t) if k is None else self.bc.pins.get((side, k))
+            if pin is None:
+                raise NonStationaryBoundary(
+                    f"swap of component {k} on the {side}-side interval "
+                    f"needs a Dirichlet condition pinning it there")
+            row, self.tau[knot] = pin
+            subs.append(None if k is None else int(row))
+        self.sub_left, self.sub_right = subs
 
     # -- residual ---------------------------------------------------------
 
@@ -347,21 +317,20 @@ class _Sweep:
             r, norm = r_new, new_norm
             self.norm = norm
             iters += 1
-        U, T = self.states(Q)
-        mesh = EvolvingMesh(U, T, self.zones)
-        return mesh, iters, norm
+        return EvolvingMesh(*self.states(Q), self.zones), iters, norm
 
 
 def assemble_residual(problem: SegmentedProblem) -> np.ndarray:
     """Residual vector of the full nonlinear system at the mesh iterate:
-    m*n interval equations followed by n boundary equations."""
+    m*n interval equations followed by n boundary equations, with the end
+    knots fixed as SegmentedProblem says even where the mesh's are off."""
     sweep = _Sweep(problem)
     return sweep.residual(sweep.Q0)
 
 
 def assemble_jacobian(problem: SegmentedProblem) -> BlockJacobian:
     """Block-bidiagonal Jacobian of assemble_residual with respect to the
-    free knot coordinates."""
+    free knot coordinates, with the end knots fixed as there."""
     sweep = _Sweep(problem)
     return sweep.blocks(sweep.Q0)
 
@@ -508,11 +477,11 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
     decimation).  A failed sweep is repaired by decimating its degenerate
     knots; when the sweep after a repair fails on the same zones and knot
     count at a residual no lower than before, the repair has undone
-    nothing, and that sweep's error is raised.
+    nothing, and that sweep's error is raised.  Each sweep fixes the end
+    knots as SegmentedProblem says, so the meshes it returns have exact ends.
     """
     mesh = problem.mesh
     system, bc = problem.system, problem.bc
-    a, b = problem.domain
     merge_tol = rcfg.h_min / 100.0 if rcfg is not None else 0.0
     total_iters = 0
     last_norm = np.inf
@@ -529,7 +498,6 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
             changed = False
         before = mesh.knot_count
         mesh = normalize(mesh, merge_tol=merge_tol)
-        mesh = anchor_pins(mesh, bc, a, b)
         if rcfg is not None:
             mesh = refine(mesh, system, rcfg)
         changed |= mesh.knot_count != before
@@ -540,7 +508,7 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
             return Solution(mesh, total_iters, last_norm,
                             diagnostics={"outer_iterations": outer,
                                          "history": history})
-        sweep = _Sweep(SegmentedProblem(system, bc, mesh, (a, b)))
+        sweep = _Sweep(SegmentedProblem(system, bc, mesh, problem.domain))
         try:
             mesh, iters, last_norm = sweep.run(cfg)
             converged = True
@@ -559,8 +527,7 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
                     f"{err} (outer iteration {outer}, {mesh.knot_count} "
                     f"knots, again after a repair)") from err
             repaired_failure = failure
-            U, T = sweep.states(sweep.last_Q)
-            stalled = EvolvingMesh(U, T, mesh.zones)
+            stalled = EvolvingMesh(*sweep.states(sweep.last_Q), mesh.zones)
             repair_tol = rcfg.h_min * 0.5 if rcfg is not None else 1e-14
             repaired = normalize(stalled, merge_tol=max(merge_tol, repair_tol))
             if repaired.knot_count == stalled.knot_count:

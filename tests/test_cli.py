@@ -32,6 +32,10 @@ def test_bad_cold_start_step_is_config_error(h0):
     assert main(["solve", "--lambda", "3", "--h0", h0, "--quiet"]) == 3
 
 
+def test_infinite_lambda_is_config_error():
+    assert main(["solve", "--lambda", "inf", "--quiet"]) == 3
+
+
 def test_unknown_problem_is_config_error():
     assert main(["solve", "--problem", "nope", "--quiet"]) == 3
 

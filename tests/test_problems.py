@@ -34,10 +34,17 @@ def test_troesch_rhs_odd_in_u():
 
 
 def test_troesch_validation():
-    with pytest.raises(ConfigError):
-        troesch(0.0)
-    with pytest.raises(ConfigError):
-        troesch(-2.0)
+    for lam in (0.0, -2.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            troesch(lam)
+
+
+# checked before any numpy work: inf would warn there, 0 and -1 would fail
+# in math.log, and nan would be reported as a u2(0) below 1e-300
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+def test_first_integral_reference_rejects_bad_lambda(lam):
+    with pytest.raises(ConfigError, match="finite and positive"):
+        troesch_endpoints(lam)
 
 
 def test_troesch_small_lambda_linearization():

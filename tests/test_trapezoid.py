@@ -20,8 +20,7 @@ from stiffbvp import (BoundaryConditions, ConfigError, EvaluationError,
                       solve_spec, troesch, uniform_mesh)
 from stiffbvp import trapezoid
 from stiffbvp.mesh import init_linear
-from stiffbvp.trapezoid import (BlockJacobian, _Sweep, anchor_pins,
-                                check_boundary_transforms)
+from stiffbvp.trapezoid import BlockJacobian, _Sweep
 
 from conftest import ENERGY_REFS, intervals, zones_of
 
@@ -277,31 +276,6 @@ def _random_block_system(rng, m, n):
     return BlockJacobian(A, B, C, D)
 
 
-def test_block_solve_matches_dense_oracle():
-    rng = np.random.default_rng(42)
-    for trial in range(20):
-        m, n = 5, 2
-        jac = _random_block_system(rng, m, n)
-        rhs_int = rng.uniform(-1, 1, size=(m, n))
-        rhs_bc = rng.uniform(-1, 1, size=n)
-        X = solve_linear_block(jac, rhs_int, rhs_bc)
-        dense = jac.todense()
-        expect = np.linalg.solve(dense,
-                                 np.concatenate([rhs_int.ravel(), rhs_bc]))
-        np.testing.assert_allclose(X.ravel(), expect, rtol=1e-10, atol=1e-10)
-
-
-def test_block_solve_scalar_blocks():
-    rng = np.random.default_rng(3)
-    jac = _random_block_system(rng, 7, 1)
-    rhs_int = rng.uniform(-1, 1, size=(7, 1))
-    rhs_bc = rng.uniform(-1, 1, size=1)
-    X = solve_linear_block(jac, rhs_int, rhs_bc)
-    expect = np.linalg.solve(jac.todense(),
-                             np.concatenate([rhs_int.ravel(), rhs_bc]))
-    np.testing.assert_allclose(X.ravel(), expect, rtol=1e-10)
-
-
 def test_block_solve_identity_blocks_pass_rhs_through():
     m, n = 4, 2
     eye = np.broadcast_to(np.eye(n), (m, n, n)).copy()
@@ -329,9 +303,19 @@ def _dense_solution(jac, rhs_int, rhs_bc):
                            np.concatenate([rhs_int.ravel(), rhs_bc]))
 
 
+def _block_product(jac, x):
+    """The stacked rows A[i] x_i + B[i] x_{i+1} and C x_0 + D x_m, formed
+    block by block without todense."""
+    rows = (np.einsum("ijk,ik->ij", jac.A, x[:-1])
+            + np.einsum("ijk,ik->ij", jac.B, x[1:]))
+    return np.concatenate([rows.ravel(), jac.C @ x[0] + jac.D @ x[-1]])
+
+
+# up to 64 unknowns (m = 1, 2, 3, 5, 7) the solver's work is one dense solve
+# of todense's matrix, so only the block product checks it independently;
 # m = 101 and 200 are above the dense tail for every n; 101 carries an odd
 # row up at three levels, and 200 reduces three levels at n = 2, four at 3
-@pytest.mark.parametrize("m", [1, 2, 3, 101, 200])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 101, 200])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("bc", ["separated", "periodic"])
 def test_block_solve_matches_dense(m, n, bc):
@@ -347,6 +331,9 @@ def test_block_solve_matches_dense(m, n, bc):
     np.testing.assert_allclose(X.ravel(),
                                _dense_solution(jac, rhs_int, rhs_bc),
                                rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(_block_product(jac, X),
+                               np.concatenate([rhs_int.ravel(), rhs_bc]),
+                               rtol=0, atol=1e-10)
 
 
 # with n = 33 even a single row has more unknowns than the dense tail:
@@ -387,18 +374,12 @@ def _backward_error(jac, seed=0):
     of b = J x_true with x_true ~ N(0, 1)."""
     m, n, _ = jac.A.shape
     x_true = np.random.default_rng(seed).standard_normal((m + 1, n))
-
-    def apply(x):
-        rows = (np.einsum("ijk,ik->ij", jac.A, x[:-1])
-                + np.einsum("ijk,ik->ij", jac.B, x[1:]))
-        return np.concatenate([rows.ravel(), jac.C @ x[0] + jac.D @ x[-1]])
-
-    b = apply(x_true)
+    b = _block_product(jac, x_true)
     x = solve_linear_block(jac, b[:m * n].reshape(m, n), b[m * n:])
     row_sums = np.abs(jac.A).sum(axis=2) + np.abs(jac.B).sum(axis=2)
     norm_J = max(row_sums.max(),
                  (np.abs(jac.C).sum(axis=1) + np.abs(jac.D).sum(axis=1)).max())
-    return (np.abs(apply(x) - b).max()
+    return (np.abs(_block_product(jac, x) - b).max()
             / (norm_J * np.abs(x).max() + np.abs(b).max()))
 
 
@@ -443,26 +424,63 @@ def test_package_import_loads_no_scipy():
 
 # -- boundary handling ----------------------------------------------------
 
-def test_boundary_swap_requires_pin(troesch3):
-    mesh = init_linear(0.0, 1.0, 4, (0.0, 1.0))
-    ok = EvolvingMesh(mesh.U, mesh.T, zones_of([Transform(swap=1)] * 4))
-    assert check_boundary_transforms(ok, troesch3.bc) == (0, 1)
-    bad = EvolvingMesh(mesh.U, mesh.T, zones_of(
-        [Transform(swap=2)] + [Transform(swap=1)] * 3))
-    with pytest.raises(NonStationaryBoundary):
-        check_boundary_transforms(bad, troesch3.bc)
-
-
-def test_anchor_pins(troesch3):
+def _off_end_mesh(transform=Transform()):
+    """A 4-interval straight-line mesh of troesch's data in one zone, its
+    ends at T = 1e-5 and 1 - 1e-5 instead of 0 and 1."""
     mesh = init_linear(0.0, 1.0, 4, (0.0, 1.0))
     mesh.T[0] = 1e-5
     mesh.T[-1] = 1.0 - 1e-5
-    out = anchor_pins(mesh, troesch3.bc, 0.0, 1.0)
-    assert out.T[0] == 0.0 and out.T[-1] == 1.0
-    swapped = EvolvingMesh(mesh.U, mesh.T, zones_of([Transform(swap=1)] * 4))
+    return EvolvingMesh(mesh.U, mesh.T, zones_of([transform] * 4))
+
+
+def test_boundary_swap_requires_pin(troesch3):
+    # both ends swap u1, which troesch pins (rows 0 and 1): those rows read
+    # t_a - a and t_b - b, the off ends' t
+    ok = _off_end_mesh(Transform(swap=1))
+    r = assemble_residual(SegmentedProblem(troesch3.system, troesch3.bc, ok,
+                                           troesch3.domain))
+    np.testing.assert_allclose(r[-2:], [1e-5, -1e-5], rtol=1e-9)
+    # u2 is pinned at neither end; a rising u2 keeps the SP2 zone's natural
+    # step clean, so normalization leaves the mesh to the sweep
+    U = ok.U.copy()
+    U[:, 1] = 1.0 + ok.T
+    bad = EvolvingMesh(U, ok.T, zones_of(
+        [Transform(swap=2)] + [Transform(swap=1)] * 3))
+    with pytest.raises(NonStationaryBoundary, match="component 2 on the a"):
+        assemble_residual(SegmentedProblem(troesch3.system, troesch3.bc, bad,
+                                           troesch3.domain))
+    with pytest.raises(NonStationaryBoundary):
+        solve_spec(troesch3, bad)
+
+
+def test_solve_fixes_the_end_knots(troesch3):
+    # without a swap the ends' t is the domain's
+    sol = solve_spec(troesch3, _off_end_mesh())
+    assert sol.mesh.T[0] == 0.0 and sol.mesh.T[-1] == 1.0
+    # a swapped end's tau is the pinned value, exactly
+    swapped = _off_end_mesh(Transform(swap=1))
     swapped.U[-1, 0] = 0.997
-    out = anchor_pins(swapped, troesch3.bc, 0.0, 1.0)
-    assert out.U[-1, 0] == 1.0          # pinned value becomes exact tau
+    sol = solve_spec(troesch3, swapped)
+    assert sol.mesh.U[0, 0] == 0.0 and sol.mesh.U[-1, 0] == 1.0
+
+
+@pytest.mark.parametrize("transform", [Transform(), Transform(swap=1)])
+def test_residual_reads_fixed_ends(troesch3, transform):
+    # the residual of a mesh whose ends are off is that of the same mesh
+    # with its ends set: t for an unswapped end, the pinned u1 for a
+    # swapped one
+    off = _off_end_mesh(transform)
+    off.U[0, 0], off.U[-1, 0] = 1e-3, 0.997
+    exact = EvolvingMesh(off.U.copy(), off.T.copy(), off.zones)
+    if transform.swap is None:
+        exact.T[[0, -1]] = 0.0, 1.0
+    else:
+        exact.U[[0, -1], 0] = 0.0, 1.0
+    r_off, r_exact = (
+        assemble_residual(SegmentedProblem(troesch3.system, troesch3.bc,
+                                           mesh, troesch3.domain))
+        for mesh in (off, exact))
+    np.testing.assert_array_equal(r_off, r_exact)
 
 
 # -- Newton solver --------------------------------------------------------
