@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -75,9 +75,15 @@ def troesch(lam: float) -> ProblemSpec:
     lam = _troesch_lambda(lam)
 
     def rhs(u, t):
-        u1, u2 = u[0], u[1]
-        return np.stack([u2 * np.ones_like(np.asarray(t, dtype=float)),
-                         lam * np.sinh(lam * u1)])
+        u1 = np.asarray(u[0], dtype=float)
+        out = np.empty((2,) + u1.shape)
+        out[0] = u[1]
+        # a view also when u is one state, where out[1] would be a scalar
+        row = out[1, ...]
+        np.multiply(lam, u1, out=row)
+        np.sinh(row, out=row)
+        row *= lam
+        return out
 
     def jac(u, t):
         u1 = np.asarray(u[0], dtype=float)
@@ -96,6 +102,13 @@ def troesch(lam: float) -> ProblemSpec:
     return ProblemSpec(system, bc, (0.0, 1.0), name=f"troesch(lam={lam:g})",
                        reference=_TROESCH_REFERENCE,
                        reference_fn=partial(troesch_endpoints, lam))
+
+
+@cache
+def _gauss_legendre_24():
+    """The 24-point Gauss-Legendre rule of troesch_endpoints' panels, built
+    on first use: importing numpy.polynomial costs about 2 MB."""
+    return np.polynomial.legendre.leggauss(24)
 
 
 def _log_sinh(x):
@@ -124,7 +137,7 @@ def troesch_endpoints(lam: float) -> Tuple[float, float]:
     1e-300 and ConfigError is raised, as it is for lam <= 0, nan or inf.
     """
     lam = _troesch_lambda(lam)
-    nodes, weights = np.polynomial.legendre.leggauss(24)
+    nodes, weights = _gauss_legendre_24()
     half_lam = float(_log_sinh(lam / 2.0))        # log(sinh(lam/2))
 
     def excess(log_s):

@@ -25,8 +25,7 @@ from .errors import (ConfigError, EvaluationError, NonConvergence,
 from .mesh import EvolvingMesh, RefinementConfig, normalize, refine
 from .ode_system import (BoundaryConditions, OdeSystem, central_differences,
                          eval_jacobian_batch, eval_rhs_batch)
-from .transform import (Transform, apply, map_state, state_jacobian,
-                        unmap_state)
+from .transform import apply, map_state, state_jacobian, unmap_state
 
 # knots per batched Jacobian evaluation: bounds the temporaries of the
 # composed swap/flip Jacobians on large meshes
@@ -192,8 +191,12 @@ class _Sweep:
         out = np.empty((self.m, self.n))
         for tr, s, e, q, tau in self.zone_knots(Q):
             f = eval_rhs_batch(self.tsys[tr], q, tau)
-            out[s:e] = ((q[:, 1:] - q[:, :-1]) / np.diff(tau)
-                        - 0.5 * (f[:, :-1] + f[:, 1:])).T
+            rows = out[s:e].T
+            np.subtract(q[:, 1:], q[:, :-1], out=rows)
+            rows /= np.diff(tau)
+            mean = f[:, :-1] + f[:, 1:]
+            mean *= 0.5
+            rows -= mean
         return out
 
     def end_states(self, q0: np.ndarray, qm: np.ndarray) -> np.ndarray:
@@ -229,20 +232,10 @@ class _Sweep:
 
     # -- Jacobian ---------------------------------------------------------
 
-    def system_jacobian(self, tr: Transform, X: np.ndarray,
-                        T: np.ndarray) -> np.ndarray:
-        """[G_q | G_tau] of the transformed system at natural points (X, T),
-        shape (n, n+1, B), evaluated in chunks of _JAC_CHUNK points."""
-        tsys = self.tsys[tr]
-        out = np.empty((self.n, self.n + 1, len(T)))
-        for start in range(0, len(T), _JAC_CHUNK):
-            part = slice(start, start + _JAC_CHUNK)
-            out[..., part] = eval_jacobian_batch(tsys, X[:, part], T[part])
-        return out
-
     def blocks(self, Q: np.ndarray) -> BlockJacobian:
         """Block Jacobian at the iterate Q from the transformed systems'
-        Jacobians [G_q | G_tau], evaluated once per knot of every zone.
+        Jacobians [G_q | G_tau], evaluated once per knot of every zone in
+        chunks of _JAC_CHUNK knots, each chunk written straight into A and B.
 
         Interval i reads A[i] = -I/dtau - G_q(knot i)/2 and
         B[i] = I/dtau - G_q(knot i+1)/2.  At a transform switch the left
@@ -256,18 +249,31 @@ class _Sweep:
         A = np.empty((m, n, n))
         B = np.empty((m, n, n))
         diag = np.arange(n)
+        # views of the blocks' diagonals
+        A_diag = A.reshape(m, n * n)[:, ::n + 1]
+        B_diag = B.reshape(m, n * n)[:, ::n + 1]
         for k, (tr, s, e, q, tau) in enumerate(self.zone_knots(Q)):
-            J = self.system_jacobian(tr, q, tau)
-            G = -0.5 * np.moveaxis(J[:, :n], -1, 0)
+            # zone knot j is the left knot of interval s+j (j < e-s) and
+            # the right knot of interval s+j-1 (j > 0)
+            for c in range(0, e - s + 1, _JAC_CHUNK):
+                J = eval_jacobian_batch(self.tsys[tr], q[:, c:c + _JAC_CHUNK],
+                                        tau[c:c + _JAC_CHUNK])
+                if c == 0:
+                    first = J[:, :, 0].copy()
+                G = J[:, :n].transpose(2, 0, 1)
+                stop = c + len(G)
+                left = min(stop, e - s)
+                np.multiply(G[:left - c], -0.5, out=A[s + c:s + left])
+                right = max(c, 1)
+                np.multiply(G[right - c:], -0.5,
+                            out=B[s + right - 1:s + stop - 1])
             inv = 1.0 / np.diff(tau)
-            A[s:e] = G[:-1]
-            B[s:e] = G[1:]
-            A[s:e, diag, diag] -= inv[:, None]
-            B[s:e, diag, diag] += inv[:, None]
+            A_diag[s:e] -= inv[:, None]
+            B_diag[s:e] += inv[:, None]
             if k:
                 # the switch knot's coordinates belong to the previous zone
                 prev = self.zones[k - 1][0]
-                dr = -0.5 * J[:, :, 0]
+                dr = -0.5 * first
                 dr[diag, diag] -= inv[0]
                 dr[:, n] += (q[:, 1] - q[:, 0]) * inv[0] ** 2
                 u, _ = unmap_state(prev, Q[s], self.tau[s])
@@ -284,8 +290,9 @@ class _Sweep:
     # -- Newton iteration -------------------------------------------------
 
     def run(self, cfg: NewtonConfig):
-        Q = self.Q0.copy()
-        self.last_Q = Q
+        """Newton's method from Q0, which it moves in place."""
+        # last_Q is the iterate, always the last accepted one
+        Q = self.last_Q = self.Q0
         # the residual of last_Q; inf until the first one is evaluated
         self.norm = np.inf
         r = self.residual(Q)
@@ -295,10 +302,12 @@ class _Sweep:
             if iters >= MAX_ITERS:
                 raise NonConvergence(
                     f"residual {norm:.3e} after {iters} Newton steps")
-            jac = self.blocks(Q)
-            r_int = r[:self.m * self.n].reshape(self.m, self.n)
-            r_bc = r[self.m * self.n:]
-            dQ = solve_linear_block(jac, -r_int, -r_bc)
+            # the blocks live only for this solve; J dQ = -r is solved as
+            # J x = r, and x negated, which is exact
+            mn = self.m * self.n
+            dQ = solve_linear_block(self.blocks(Q),
+                                    r[:mn].reshape(self.m, self.n), r[mn:])
+            np.negative(dQ, out=dQ)
             s = 1.0
             while True:
                 try:
@@ -313,7 +322,7 @@ class _Sweep:
                     raise NonConvergence(
                         f"line search stalled at residual {norm:.3e}")
             Q += s * dQ
-            self.last_Q = Q
+            del dQ      # let the next step's solve reuse its memory
             r, norm = r_new, new_norm
             self.norm = norm
             iters += 1
@@ -357,13 +366,17 @@ def solve_linear_block(jac: BlockJacobian, rhs_int: np.ndarray,
     # a level's rows L[..., i] y_i + R[..., i] y_{i+1} = r[:, i]; its
     # unknown y_i is x at knot i * stride, except the last, which is x_m
     L, R, r = jac.A.transpose(1, 2, 0), jac.B.transpose(1, 2, 0), rhs_int.T
+    # every coarser level's rows [L | R | r], written over the previous
+    # level's as they are formed; the inputs are only read
+    rows = np.empty((n, 2 * n + 1, (m + 1) // 2))
     stride = 1
     levels = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while L.shape[2] > 1 and (L.shape[2] + 1) * n > _DENSE_TAIL:
-            top, rows = _reduce_level(L, R, r, stride)
-            levels.append(top)
-            L, R, r = rows[:, :n], rows[:, n:2 * n], rows[:, 2 * n]
+            M = L.shape[2]
+            levels.append(_reduce_level(L, R, r, stride, rows))
+            coarse = rows[..., :(M + 1) // 2]
+            L, R, r = coarse[:, :n], coarse[:, n:2 * n], coarse[:, 2 * n]
             stride *= 2
         X = _dense_tail(L, R, r, jac.C, jac.D, rhs_bc, stride, m)
         while levels:
@@ -381,19 +394,21 @@ def _singular(knot: int) -> SingularLinearSystem:
                                 pivot=interval)
 
 
-def _reduce_level(L: np.ndarray, R: np.ndarray, r: np.ndarray, stride: int):
+def _reduce_level(L: np.ndarray, R: np.ndarray, r: np.ndarray, stride: int,
+                  coarse: np.ndarray) -> np.ndarray:
     """One level of cyclic reduction over M rows, stored along the last
     axis: L and R of shape (n, n, M), r of shape (n, M).
 
     Returns the pairs' top rows, shape (n, 3n+1, M // 2), with columns
-    [y_mid | y_left | y_right | rhs] and the y_mid block upper triangular,
-    and the coarser level's rows [L | R | r], shape (n, 2n+1, M // 2 + M % 2),
-    whose last row is the odd last row carried up unchanged.
+    [y_mid | y_left | y_right | rhs] and the y_mid block upper triangular.
+    The coarser level's rows [L | R | r] go to coarse[..., :M // 2 + M % 2];
+    the last is the odd last row carried up unchanged.  L, R and r may
+    be views of coarse: the pairs of a chunk are read before its rows are
+    written, and no later chunk reads a row an earlier one wrote.
     """
     n, _, M = L.shape
     K = M // 2
     top = np.empty((n, 3 * n + 1, K))
-    coarse = np.empty((n, 2 * n + 1, K + M % 2))
     for s in range(0, K, _CR_CHUNK):
         e = min(s + _CR_CHUNK, K)
         ev, od = slice(2 * s, 2 * e, 2), slice(2 * s + 1, 2 * e, 2)
@@ -426,7 +441,7 @@ def _reduce_level(L: np.ndarray, R: np.ndarray, r: np.ndarray, stride: int):
         coarse[:, :n, K] = L[..., M - 1]
         coarse[:, n:2 * n, K] = R[..., M - 1]
         coarse[:, 2 * n, K] = r[:, M - 1]
-    return top, coarse
+    return top
 
 
 def _dense_tail(L: np.ndarray, R: np.ndarray, r: np.ndarray, C: np.ndarray,
@@ -457,7 +472,7 @@ def _back_substitute(top: np.ndarray, Z: np.ndarray) -> np.ndarray:
     X[-1] = Z[-1]
     Zt = Z.T
     sides = np.concatenate((Zt[:, :K], Zt[:, 1:K + 1]))
-    y = top[:, 3 * n] - np.add.reduce(top[:, n:3 * n] * sides, axis=1)
+    y = top[:, 3 * n] - np.einsum("ijk,jk->ik", top[:, n:3 * n], sides)
     for j in reversed(range(n)):
         y[j] /= top[j, j]
         y[:j] -= top[:j, j] * y[j]
@@ -477,8 +492,10 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
     decimation).  A failed sweep is repaired by decimating its degenerate
     knots; when the sweep after a repair fails on the same zones and knot
     count at a residual no lower than before, the repair has undone
-    nothing, and that sweep's error is raised.  Each sweep fixes the end
-    knots as SegmentedProblem says, so the meshes it returns have exact ends.
+    nothing, and that sweep's error is raised, as it is when there are no
+    knots to decimate; both name the outer iteration and the knot count.
+    Each sweep fixes the end knots as SegmentedProblem says, so the meshes
+    it returns have exact ends.
     """
     mesh = problem.mesh
     system, bc = problem.system, problem.bc
@@ -490,10 +507,10 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
     repaired_failure = None     # (zones, knots, residual) of a repaired sweep
     for outer in range(MAX_OUTER):
         if strategy is not None:
-            assigned = EvolvingMesh(mesh.U, mesh.T,
-                                    strategy.assign(mesh, system, bc))
-            changed = assigned.zones != mesh.zones
-            mesh = assigned
+            old_zones = mesh.zones
+            mesh = EvolvingMesh(mesh.U, mesh.T,
+                                strategy.assign(mesh, system, bc))
+            changed = mesh.zones != old_zones
         else:
             changed = False
         before = mesh.knot_count
@@ -508,7 +525,10 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
             return Solution(mesh, total_iters, last_norm,
                             diagnostics={"outer_iterations": outer,
                                          "history": history})
+        # the sweep holds all it needs of the mesh, so the mesh is let go
+        zones, knots = mesh.zones, mesh.knot_count
         sweep = _Sweep(SegmentedProblem(system, bc, mesh, problem.domain))
+        del mesh
         try:
             mesh, iters, last_norm = sweep.run(cfg)
             converged = True
@@ -519,19 +539,20 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
             # degenerate knots from the best iterate and retry, and give up
             # if there is nothing left to repair or the last repair did not
             # help
-            failure = (mesh.zones, mesh.knot_count, sweep.norm)
+            failure = (zones, knots, sweep.norm)
+            where = f"outer iteration {outer}, {knots} knots"
             if (repaired_failure is not None
                     and failure[:2] == repaired_failure[:2]
                     and failure[2] >= repaired_failure[2]):
                 raise type(err)(
-                    f"{err} (outer iteration {outer}, {mesh.knot_count} "
-                    f"knots, again after a repair)") from err
+                    f"{err} ({where}, again after a repair)") from err
             repaired_failure = failure
-            stalled = EvolvingMesh(*sweep.states(sweep.last_Q), mesh.zones)
+            stalled = EvolvingMesh(*sweep.states(sweep.last_Q), zones)
             repair_tol = rcfg.h_min * 0.5 if rcfg is not None else 1e-14
             repaired = normalize(stalled, merge_tol=max(merge_tol, repair_tol))
             if repaired.knot_count == stalled.knot_count:
-                raise
+                raise type(err)(
+                    f"{err} ({where}, no knots to decimate)") from err
             mesh = repaired
             converged = False
             iters = 0

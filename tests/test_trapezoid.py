@@ -4,6 +4,7 @@ import dataclasses
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,10 @@ def test_block_solve_matches_dense(m, n, bc):
         jac.C, jac.D = np.eye(n), -np.eye(n)
     rhs_int = rng.uniform(-1, 1, size=(m, n))
     rhs_bc = rng.uniform(-1, 1, size=n)
+    # the solver writes its coarse levels over a buffer of its own, and
+    # callers reuse the blocks after a solve: a write to an input raises
+    for a in (jac.A, jac.B, jac.C, jac.D, rhs_int, rhs_bc):
+        a.flags.writeable = False
     X = solve_linear_block(jac, rhs_int, rhs_bc)
     assert X.shape == (m + 1, n)
     np.testing.assert_allclose(X.ravel(),
@@ -540,6 +545,52 @@ def test_repair_that_repeats_the_failure_stops(monkeypatch):
     assert len(sweeps) <= 3
     assert sweeps[-1] == 123
     assert "outer iteration" in str(exc.value)
+
+
+def test_failure_with_nothing_to_decimate_says_where():
+    # on a fixed mesh the repair only decimates knots 1e-14 apart in their
+    # natural variable, and the cold start has none: the sweep's failure is
+    # raised with the outer loop's context
+    spec = troesch(40.0)
+    problem = SegmentedProblem(spec.system, spec.bc, uniform_mesh(spec, 0.1),
+                               spec.domain)
+    with pytest.raises(NonConvergence,
+                       match=r"^line search stalled .* \(outer iteration 0, "
+                             r"11 knots, no knots to decimate\)$") as exc:
+        newton_solve(problem, rcfg=None)
+    assert isinstance(exc.value.__cause__, NonConvergence)
+
+
+def _large_three_zone_problem(knots, lam=6.0):
+    """Troesch's lam = 6 solution interpolated onto `knots` uniform knots,
+    tagged I | SP2 | SP1.FP2 with most knots in the SP2 zone."""
+    spec = troesch(lam)
+    sol = solve_spec(spec, uniform_mesh(spec, 1e-3), IdentityStrategy())
+    T = np.linspace(0.0, 1.0, knots)
+    U = np.column_stack([np.interp(T, sol.mesh.T, sol.mesh.U[:, k])
+                         for k in range(2)])
+    s, e = (int(i) for i in np.searchsorted(T, [0.1, 0.9]))
+    zones = ((Transform(), 0, s), (Transform.parse("SP2"), s, e),
+             (Transform.parse("SP1.FP2"), e, knots - 1))
+    return SegmentedProblem(spec.system, spec.bc, EvolvingMesh(U, T, zones),
+                            spec.domain)
+
+
+def test_sweep_memory_budget():
+    # a Newton step holds its blocks, the residual, the cyclic reduction's
+    # top rows and one coarse-row buffer: measured 265 bytes per knot,
+    # against 392 when each step also kept the previous step's blocks, a
+    # whole-zone Jacobian and its moved copy, and a coarse array per level
+    knots = 50_000
+    sweep = _Sweep(_large_three_zone_problem(knots))
+    tracemalloc.start()
+    try:
+        _, iters, norm = sweep.run(NewtonConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iters >= 2 and norm <= 1e-10
+    assert peak / knots <= 320
 
 
 def test_newton_solve_diagnostics(troesch3):
