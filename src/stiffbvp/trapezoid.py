@@ -15,7 +15,8 @@ sweep, so the unknown count is always (m+1)*n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -25,14 +26,14 @@ from .errors import (ConfigError, EvaluationError, NonConvergence,
 from .mesh import EvolvingMesh, RefinementConfig, normalize, refine
 from .ode_system import (BoundaryConditions, OdeSystem, central_differences,
                          eval_jacobian_batch, eval_rhs_batch)
-from .transform import apply, map_state, state_jacobian, unmap_state
+from .transform import (Transform, apply, map_state, state_jacobian,
+                        unmap_state)
 
-# knots per batched Jacobian evaluation: bounds the temporaries of the
-# composed swap/flip Jacobians on large meshes
-_JAC_CHUNK = 32768
-# pairs per batch of reflections in a cyclic-reduction level: bounds the
-# temporaries and keeps a batch in cache on large meshes
-_CR_CHUNK = 4096
+# pairs of rows per batch: a cyclic-reduction level reflects _CHUNK pairs
+# at a time, and residual and Jacobian rows are formed 2*_CHUNK intervals
+# at a time, so that the first level's batch is one batch of Jacobian
+# rows; bounds a Newton step's temporaries and keeps a batch in cache
+_CHUNK = 2048
 # cyclic reduction stops once at most this many unknowns are left
 _DENSE_TAIL = 64
 
@@ -97,6 +98,11 @@ class BlockJacobian:
     C: np.ndarray       # (n, n)
     D: np.ndarray       # (n, n)
 
+    def rows(self, a: int, b: int):
+        """Blocks of intervals a..b-1, batch-last: views of shape
+        (n, n, b-a) of A[a:b] and B[a:b]."""
+        return self.A[a:b].transpose(1, 2, 0), self.B[a:b].transpose(1, 2, 0)
+
     def todense(self) -> np.ndarray:
         m, n, _ = self.A.shape
         J = np.zeros(((m + 1) * n, (m + 1) * n))
@@ -107,6 +113,27 @@ class BlockJacobian:
         J4[m, :, 0, :] = self.C
         J4[m, :, m, :] = self.D
         return J
+
+
+@dataclass
+class StreamedJacobian:
+    """The Newton matrix of BlockJacobian with its interval rows evaluated
+    on demand: ``rows(a, b)`` returns them as BlockJacobian.rows does."""
+
+    rows: Callable
+    C: np.ndarray
+    D: np.ndarray
+
+
+class _Zone(NamedTuple):
+    """Knots s..e of one zone at an iterate Q (see _Sweep.zone_view)."""
+
+    tr: Transform
+    s: int
+    e: int
+    q: np.ndarray           # Q[s:e+1].T, a view
+    tau: np.ndarray         # the knots' taus, a view
+    head: Optional[tuple]   # the switch knot's (q, tau, u) in this zone
 
 
 class _Sweep:
@@ -147,6 +174,12 @@ class _Sweep:
             row, self.tau[knot] = pin
             subs.append(None if k is None else int(row))
         self.sub_left, self.sub_right = subs
+        # the taus are frozen, so only the switch steps, which start at a
+        # re-expressed knot, can become zero; the first other zero step
+        switches = {s for _, s, _ in self.zones[1:]}
+        zero = (self.tau[1:] == self.tau[:-1]).nonzero()[0]
+        self.zero_step = next((int(i) for i in zero if i not in switches),
+                              None)
 
     # -- residual ---------------------------------------------------------
 
@@ -160,158 +193,197 @@ class _Sweep:
             T[knots] = t
         return U, T
 
-    def zone_knots(self, Q: np.ndarray):
-        """Knots s..e of every zone in that zone's variables, one zone at a
-        time: (transform, s, e, q, tau) with q of shape (n, e-s+1).
+    def zone_view(self, Q: np.ndarray):
+        """Knots s..e of every zone, as _Zone(tr, s, e, q, tau, head)
+        with q = Q[s:e+1].T and tau views of the iterate and the taus.
 
         The start of every later zone is a switch: its knot is owned by
-        the previous zone and is re-expressed once, through the original
-        variables.  All switches are re-expressed and every natural step is
-        checked before the first zone is yielded.
+        the previous zone, so q[:, 0] is in that zone's variables.  Its
+        head (q_s, tau_s, u_s) is the knot re-expressed once, through its
+        original state u_s, in this zone's variables; the first zone's
+        head is None.  Every natural step is checked before returning.
         """
-        heads = [map_state(tr, *unmap_state(prev, Q[s], self.tau[s]))
-                 for (prev, _, _), (tr, s, _) in zip(self.zones,
-                                                      self.zones[1:])]
-        dtau = np.diff(self.tau)
-        for (_, s, _), (_, tau) in zip(self.zones[1:], heads):
-            dtau[s] = self.tau[s + 1] - tau
-        if np.any(dtau == 0.0):
-            raise SingularStepError(
-                f"zero natural step on interval {int(np.argmax(dtau == 0.0))}")
-        for (tr, s, e), head in zip(self.zones, [None] + heads):
-            q, tau = Q[s:e + 1].T, self.tau[s:e + 1]
-            if head is not None:
-                q, tau = q.copy(), tau.copy()
-                q[:, 0], tau[0] = head
-            yield tr, s, e, q, tau
+        zero = [] if self.zero_step is None else [self.zero_step]
+        view, head = [], None
+        for k, (tr, s, e) in enumerate(self.zones):
+            if k:
+                u, t = unmap_state(self.zones[k - 1][0], Q[s], self.tau[s])
+                head = (*map_state(tr, u, t), u)
+                if self.tau[s + 1] - head[1] == 0.0:
+                    zero.append(s)
+            view.append(_Zone(tr, s, e, Q[s:e + 1].T, self.tau[s:e + 1],
+                              head))
+        if zero:
+            raise SingularStepError(f"zero natural step on interval "
+                                    f"{min(zero)}")
+        return view
 
-    def interval_residual(self, Q: np.ndarray) -> np.ndarray:
-        """Residuals of all interval equations, shape (m, n), from one rhs
-        evaluation per zone at its knots in the zone's variables."""
-        out = np.empty((self.m, self.n))
-        for tr, s, e, q, tau in self.zone_knots(Q):
-            f = eval_rhs_batch(self.tsys[tr], q, tau)
-            rows = out[s:e].T
-            np.subtract(q[:, 1:], q[:, :-1], out=rows)
-            rows /= np.diff(tau)
-            mean = f[:, :-1] + f[:, 1:]
-            mean *= 0.5
-            rows -= mean
+    def pieces(self, view, a: int, b: int):
+        """Every zone's part of intervals a..b-1, in order, as (k, lo, hi,
+        q, tau): zone k's intervals lo..hi-1 and their knots lo..hi in its
+        variables.  Only a piece that starts at a switch is copied, to put
+        the switch's head in its first column."""
+        for k, (_, s, e, q, tau, head) in enumerate(view):
+            lo, hi = max(a, s), min(b, e)
+            if lo >= hi:
+                continue
+            q, tau = q[:, lo - s:hi - s + 1], tau[lo - s:hi - s + 1]
+            if lo == s and head is not None:
+                q, tau = q.copy(), tau.copy()
+                q[:, 0], tau[0] = head[0], head[1]
+            yield k, lo, hi, q, tau
+
+    def residual_at(self, view) -> np.ndarray:
+        """Residual vector at a zone view: the m*n interval rows, written
+        2*_CHUNK intervals at a time from one rhs evaluation per zone and
+        batch, then the n boundary rows."""
+        n, m = self.n, self.m
+        out = np.empty((m + 1) * n)
+        rows = out[:m * n].reshape(m, n).T
+        for a in range(0, m, 2 * _CHUNK):
+            for k, lo, hi, q, tau in self.pieces(view, a, a + 2 * _CHUNK):
+                f = eval_rhs_batch(self.tsys[view[k].tr], q, tau)
+                r = rows[:, lo:hi]
+                np.subtract(q[:, 1:], q[:, :-1], out=r)
+                r /= tau[1:] - tau[:-1]
+                mean = f[:, :-1] + f[:, 1:]
+                mean *= 0.5
+                r -= mean
+        out[m * n:] = self.bc_residual(view[0].q[:, 0], view[-1].q[:, -1])
         return out
 
-    def end_states(self, q0: np.ndarray, qm: np.ndarray) -> np.ndarray:
-        """Original-variable end states stacked as (u_a, t_a, u_b, t_b)."""
+    def residual(self, Q: np.ndarray) -> np.ndarray:
+        """Residual vector at the iterate Q."""
+        return self.residual_at(self.zone_view(Q))
+
+    def end_states(self, q0: np.ndarray, qm: np.ndarray):
+        """Original-variable end states (u_a, t_a, u_b, t_b)."""
         u_a, t_a = unmap_state(self.zones[0][0], q0, self.tau[0])
         u_b, t_b = unmap_state(self.zones[-1][0], qm, self.tau[-1])
-        return np.concatenate([u_a, [t_a], u_b, [t_b]])
+        return u_a, t_a, u_b, t_b
 
-    def boundary_residual(self, z: np.ndarray) -> np.ndarray:
-        """Boundary rows at stacked end states z = (u_a, t_a, u_b, t_b):
-        g(u_a, u_b), except that the row pinning a component that a
-        boundary swap made the knot's tau reads t_a - a (or t_b - b)."""
+    def boundary_residual(self, u_a, t_a, u_b, t_b) -> np.ndarray:
+        """Boundary rows at the original end states: g(u_a, u_b), except
+        that the row pinning a component that a boundary swap made the
+        knot's tau reads t_a - a (or t_b - b)."""
         n = self.n
-        g = np.array(self.bc.residual(z[:n], z[n + 1:-1]), dtype=float)
+        g = np.array(self.bc.residual(u_a, u_b), dtype=float)
         if g.shape != (n,):
             raise EvaluationError(
                 f"boundary residual has shape {g.shape}, expected ({n},)")
         if self.sub_left is not None:
-            g[self.sub_left] = z[n] - self.a
+            g[self.sub_left] = t_a - self.a
         if self.sub_right is not None:
-            g[self.sub_right] = z[-1] - self.b
+            g[self.sub_right] = t_b - self.b
         if not np.isfinite(g).all():
             raise EvaluationError("non-finite boundary residual")
         return g
 
     def bc_residual(self, q0: np.ndarray, qm: np.ndarray) -> np.ndarray:
-        return self.boundary_residual(self.end_states(q0, qm))
-
-    def residual(self, Q: np.ndarray) -> np.ndarray:
-        r = self.interval_residual(Q)
-        g = self.bc_residual(Q[0], Q[-1])
-        return np.concatenate([r.ravel(), g])
+        return self.boundary_residual(*self.end_states(q0, qm))
 
     # -- Jacobian ---------------------------------------------------------
 
-    def blocks(self, Q: np.ndarray) -> BlockJacobian:
-        """Block Jacobian at the iterate Q from the transformed systems'
-        Jacobians [G_q | G_tau], evaluated once per knot of every zone in
-        chunks of _JAC_CHUNK knots, each chunk written straight into A and B.
+    def block_rows(self, view, a: int, b: int):
+        """Blocks of intervals a..b-1 at a zone view, batch-last: L and R
+        of shape (n, n, b-a) with L[..., i] = A[a+i] and R[..., i] =
+        B[a+i], from the transformed systems' Jacobians [G_q | G_tau]
+        evaluated once per zone and batch at its knots.
 
         Interval i reads A[i] = -I/dtau - G_q(knot i)/2 and
         B[i] = I/dtau - G_q(knot i+1)/2.  At a transform switch the left
         knot's natural (q_L, tau_L) = phi(Q_L) go through map(unmap(.)),
         so A[i] = [dr/dq_L | dr/dtau_L] @ dphi/dQ_L by the chain rule.
-        The boundary rows follow the same rule: C = dg/d(u_a, t_a) @
-        d(u_a, t_a)/dq_0, with dg from central differences of the
-        boundary residual in original variables, and D likewise at knot m.
         """
-        n, m = self.n, self.m
-        A = np.empty((m, n, n))
-        B = np.empty((m, n, n))
+        n = self.n
+        L = np.empty((n, n, b - a))
+        R = np.empty((n, n, b - a))
         diag = np.arange(n)
-        # views of the blocks' diagonals
-        A_diag = A.reshape(m, n * n)[:, ::n + 1]
-        B_diag = B.reshape(m, n * n)[:, ::n + 1]
-        for k, (tr, s, e, q, tau) in enumerate(self.zone_knots(Q)):
-            # zone knot j is the left knot of interval s+j (j < e-s) and
-            # the right knot of interval s+j-1 (j > 0)
-            for c in range(0, e - s + 1, _JAC_CHUNK):
-                J = eval_jacobian_batch(self.tsys[tr], q[:, c:c + _JAC_CHUNK],
-                                        tau[c:c + _JAC_CHUNK])
-                if c == 0:
-                    first = J[:, :, 0].copy()
-                G = J[:, :n].transpose(2, 0, 1)
-                stop = c + len(G)
-                left = min(stop, e - s)
-                np.multiply(G[:left - c], -0.5, out=A[s + c:s + left])
-                right = max(c, 1)
-                np.multiply(G[right - c:], -0.5,
-                            out=B[s + right - 1:s + stop - 1])
-            inv = 1.0 / np.diff(tau)
-            A_diag[s:e] -= inv[:, None]
-            B_diag[s:e] += inv[:, None]
-            if k:
+        for k, lo, hi, q, tau in self.pieces(view, a, b):
+            tr, s, _, _, _, head = view[k]
+            J = eval_jacobian_batch(self.tsys[tr], q, tau)
+            left, right = L[..., lo - a:hi - a], R[..., lo - a:hi - a]
+            np.multiply(J[:, :n, :-1], -0.5, out=left)
+            np.multiply(J[:, :n, 1:], -0.5, out=right)
+            inv = 1.0 / (tau[1:] - tau[:-1])
+            left[diag, diag] -= inv
+            right[diag, diag] += inv
+            if lo == s and head is not None:
                 # the switch knot's coordinates belong to the previous zone
-                prev = self.zones[k - 1][0]
-                dr = -0.5 * first
+                prev = view[k - 1]
+                dr = -0.5 * J[:, :, 0]
                 dr[diag, diag] -= inv[0]
                 dr[:, n] += (q[:, 1] - q[:, 0]) * inv[0] ** 2
-                u, _ = unmap_state(prev, Q[s], self.tau[s])
-                dphi = state_jacobian(tr, u) @ state_jacobian(prev, Q[s])
-                A[s] = dr @ dphi[:, :n]
-        # boundary rows: central differences of g over the original end
-        # states, chained through the unmap Jacobians of the end zones
-        dg = central_differences(self.boundary_residual,
-                                 self.end_states(Q[0], Q[-1]))
-        C = dg[:, :n + 1] @ state_jacobian(self.zones[0][0], Q[0])[:, :n]
-        D = dg[:, n + 1:] @ state_jacobian(self.zones[-1][0], Q[-1])[:, :n]
-        return BlockJacobian(A, B, C, D)
+                dphi = (state_jacobian(tr, head[2])
+                        @ state_jacobian(prev.tr, prev.q[:, -1]))
+                left[..., 0] = dr @ dphi[:, :n]
+        return L, R
+
+    def boundary_blocks(self, view):
+        """C and D of the boundary rows at a zone view: C = dg/d(u_a, t_a)
+        @ d(u_a, t_a)/dq_0, and D likewise at knot m.  g reads only the
+        end states' u, so central differences of g run over (u_a, u_b),
+        and its t columns are zero; a pinned row, t - a (or t - b), is set
+        exactly."""
+        n = self.n
+        q0, qm = view[0].q[:, 0], view[-1].q[:, -1]
+        u_a, _, u_b, _ = self.end_states(q0, qm)
+        # a non-finite g or difference is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            du = central_differences(lambda w: self.bc.residual(w[:n], w[n:]),
+                                     np.concatenate([u_a, u_b]))
+        # columns (u_a, t_a, u_b, t_b)
+        dg = np.zeros((n, 2 * n + 2))
+        dg[:, :n], dg[:, n + 1:-1] = du[:, :n], du[:, n:]
+        for row, col in ((self.sub_left, n), (self.sub_right, -1)):
+            if row is not None:
+                dg[row] = 0.0
+                dg[row, col] = 1.0
+        if not np.isfinite(dg).all():
+            raise EvaluationError("non-finite boundary residual derivative")
+        C = dg[:, :n + 1] @ state_jacobian(self.zones[0][0], q0)[:, :n]
+        D = dg[:, n + 1:] @ state_jacobian(self.zones[-1][0], qm)[:, :n]
+        return C, D
+
+    def jacobian(self, view) -> StreamedJacobian:
+        """The Newton matrix at a zone view, its interval rows evaluated
+        when a solve reads them."""
+        return StreamedJacobian(partial(self.block_rows, view),
+                                *self.boundary_blocks(view))
 
     # -- Newton iteration -------------------------------------------------
 
     def run(self, cfg: NewtonConfig):
-        """Newton's method from Q0, which it moves in place."""
-        # last_Q is the iterate, always the last accepted one
+        """Newton's method from Q0."""
+        # last_Q is the iterate, always the last accepted one, and the
+        # only iterate the sweep holds
         Q = self.last_Q = self.Q0
+        del self.Q0
         # the residual of last_Q; inf until the first one is evaluated
         self.norm = np.inf
-        r = self.residual(Q)
+        view = self.zone_view(Q)
+        r = self.residual_at(view)
         norm = self.norm = float(np.max(np.abs(r)))
         iters = 0
+        mn = self.m * self.n
         while norm > cfg.tol:
             if iters >= MAX_ITERS:
                 raise NonConvergence(
                     f"residual {norm:.3e} after {iters} Newton steps")
-            # the blocks live only for this solve; J dQ = -r is solved as
-            # J x = r, and x negated, which is exact
-            mn = self.m * self.n
-            dQ = solve_linear_block(self.blocks(Q),
+            # J dQ = -r is solved as J x = r, and x negated, which is exact;
+            # the solve evaluates J's interval rows as it reads them
+            dQ = solve_linear_block(self.jacobian(view),
                                     r[:mn].reshape(self.m, self.n), r[mn:])
             np.negative(dQ, out=dQ)
+            trial = np.empty_like(Q)
             s = 1.0
             while True:
+                # Q + s * dQ, bit for bit
+                np.multiply(dQ, s, out=trial)
+                trial += Q
                 try:
-                    r_new = self.residual(Q + s * dQ)
+                    view = self.zone_view(trial)
+                    r_new = self.residual_at(view)
                     new_norm = float(np.max(np.abs(r_new)))
                 except (EvaluationError, SingularStepError):
                     new_norm = np.inf
@@ -321,7 +393,8 @@ class _Sweep:
                 if s < MIN_DAMPING:
                     raise NonConvergence(
                         f"line search stalled at residual {norm:.3e}")
-            Q += s * dQ
+            # the accepted trial, its view and residual are the next step's
+            Q = self.last_Q = trial
             del dQ      # let the next step's solve reuse its memory
             r, norm = r_new, new_norm
             self.norm = norm
@@ -339,12 +412,22 @@ def assemble_residual(problem: SegmentedProblem) -> np.ndarray:
 
 def assemble_jacobian(problem: SegmentedProblem) -> BlockJacobian:
     """Block-bidiagonal Jacobian of assemble_residual with respect to the
-    free knot coordinates, with the end knots fixed as there."""
+    free knot coordinates, with the end knots fixed as there: the rows
+    that a Newton step's solve streams, gathered into A and B."""
     sweep = _Sweep(problem)
-    return sweep.blocks(sweep.Q0)
+    n, m = sweep.n, sweep.m
+    jac = sweep.jacobian(sweep.zone_view(sweep.Q0))
+    L = np.empty((n, n, m))
+    R = np.empty((n, n, m))
+    for a in range(0, m, 2 * _CHUNK):
+        b = min(a + 2 * _CHUNK, m)
+        L[..., a:b], R[..., a:b] = jac.rows(a, b)
+    return BlockJacobian(L.transpose(2, 0, 1), R.transpose(2, 0, 1),
+                         jac.C, jac.D)
 
 
-def solve_linear_block(jac: BlockJacobian, rhs_int: np.ndarray,
+def solve_linear_block(jac: BlockJacobian | StreamedJacobian,
+                       rhs_int: np.ndarray,
                        rhs_bc: np.ndarray) -> np.ndarray:
     """Solve the block-bidiagonal system
 
@@ -361,24 +444,29 @@ def solve_linear_block(jac: BlockJacobian, rhs_int: np.ndarray,
     row, are left, one dense solve with the boundary rows finishes, and
     back-substitution runs down the levels.  Returns the solution as an
     (m+1, n) array.
+
+    ``jac`` is a BlockJacobian or a StreamedJacobian, read only: the first
+    level reads the blocks through ``jac.rows``, _CHUNK pairs of rows at a
+    time, so streamed rows are never all held at once.
     """
-    m, n, _ = jac.A.shape
-    # a level's rows L[..., i] y_i + R[..., i] y_{i+1} = r[:, i]; its
-    # unknown y_i is x at knot i * stride, except the last, which is x_m
-    L, R, r = jac.A.transpose(1, 2, 0), jac.B.transpose(1, 2, 0), rhs_int.T
+    m, n = rhs_int.shape
+    # a level's M rows L[..., i] y_i + R[..., i] y_{i+1} = r[:, i], with
+    # (L, R) = rows(a, b) for rows a..b-1; its unknown y_i is x at knot
+    # i * stride, except the last, which is x_m
+    rows, r, M = jac.rows, rhs_int.T, m
     # every coarser level's rows [L | R | r], written over the previous
     # level's as they are formed; the inputs are only read
-    rows = np.empty((n, 2 * n + 1, (m + 1) // 2))
+    coarse = np.empty((n, 2 * n + 1, (m + 1) // 2))
     stride = 1
     levels = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while L.shape[2] > 1 and (L.shape[2] + 1) * n > _DENSE_TAIL:
-            M = L.shape[2]
-            levels.append(_reduce_level(L, R, r, stride, rows))
-            coarse = rows[..., :(M + 1) // 2]
-            L, R, r = coarse[:, :n], coarse[:, n:2 * n], coarse[:, 2 * n]
+        while M > 1 and (M + 1) * n > _DENSE_TAIL:
+            levels.append(_reduce_level(rows, r, M, stride, coarse))
+            M = (M + 1) // 2
+            rows = partial(_coarse_rows, coarse, n)
+            r = coarse[:, 2 * n, :M]
             stride *= 2
-        X = _dense_tail(L, R, r, jac.C, jac.D, rhs_bc, stride, m)
+        X = _dense_tail(*rows(0, M), r, jac.C, jac.D, rhs_bc, stride, m)
         while levels:
             X = _back_substitute(levels.pop(), X)
     if not np.isfinite(X).all():
@@ -394,31 +482,40 @@ def _singular(knot: int) -> SingularLinearSystem:
                                 pivot=interval)
 
 
-def _reduce_level(L: np.ndarray, R: np.ndarray, r: np.ndarray, stride: int,
+def _coarse_rows(coarse: np.ndarray, n: int, a: int, b: int):
+    """Blocks of rows a..b-1 of a coarse level stored as [L | R | r]."""
+    return coarse[:, :n, a:b], coarse[:, n:2 * n, a:b]
+
+
+def _reduce_level(rows: Callable, r: np.ndarray, M: int, stride: int,
                   coarse: np.ndarray) -> np.ndarray:
     """One level of cyclic reduction over M rows, stored along the last
-    axis: L and R of shape (n, n, M), r of shape (n, M).
+    axis: rows(a, b) gives the blocks L and R of rows a..b-1, each of shape
+    (n, n, b-a), and r has shape (n, M).
 
     Returns the pairs' top rows, shape (n, 3n+1, M // 2), with columns
     [y_mid | y_left | y_right | rhs] and the y_mid block upper triangular.
     The coarser level's rows [L | R | r] go to coarse[..., :M // 2 + M % 2];
-    the last is the odd last row carried up unchanged.  L, R and r may
-    be views of coarse: the pairs of a chunk are read before its rows are
-    written, and no later chunk reads a row an earlier one wrote.
+    the last is the odd last row, read with the last batch's pairs and
+    carried up unchanged.  The rows may be views of coarse: a batch's pairs
+    are read before its rows are written, and no later batch reads a row
+    an earlier one wrote.
     """
-    n, _, M = L.shape
+    n = len(r)
     K = M // 2
     top = np.empty((n, 3 * n + 1, K))
-    for s in range(0, K, _CR_CHUNK):
-        e = min(s + _CR_CHUNK, K)
-        ev, od = slice(2 * s, 2 * e, 2), slice(2 * s + 1, 2 * e, 2)
+    for s in range(0, K, _CHUNK):
+        e = min(s + _CHUNK, K)
+        odd_last = e == K and M % 2
+        L, R = rows(2 * s, 2 * e + odd_last)
+        ev, od = slice(0, 2 * (e - s), 2), slice(1, 2 * (e - s), 2)
         P = np.zeros((2 * n, 3 * n + 1, e - s))
         P[:n, :n] = R[..., ev]
         P[:n, n:2 * n] = L[..., ev]
-        P[:n, 3 * n] = r[:, ev]
+        P[:n, 3 * n] = r[:, 2 * s:2 * e:2]
         P[n:, :n] = L[..., od]
         P[n:, 2 * n:3 * n] = R[..., od]
-        P[n:, 3 * n] = r[:, od]
+        P[n:, 3 * n] = r[:, 2 * s + 1:2 * e:2]
         for j in range(n):
             # reflect rows j.. by H = I - 2 v v^T / (v^T v), v = x - alpha e_0
             # with alpha = -sign(x_0) |x|, so v^T v = -2 alpha v_0 and H takes
@@ -437,10 +534,10 @@ def _reduce_level(L: np.ndarray, R: np.ndarray, r: np.ndarray, stride: int,
             S -= v[:, None] * w
         top[..., s:e] = P[:n]
         coarse[..., s:e] = P[n:, n:]
-    if M % 2:
-        coarse[:, :n, K] = L[..., M - 1]
-        coarse[:, n:2 * n, K] = R[..., M - 1]
-        coarse[:, 2 * n, K] = r[:, M - 1]
+        if odd_last:
+            coarse[:, :n, K] = L[..., -1]
+            coarse[:, n:2 * n, K] = R[..., -1]
+            coarse[:, 2 * n, K] = r[:, M - 1]
     return top
 
 

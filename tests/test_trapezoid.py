@@ -129,11 +129,13 @@ def test_jacobian_matches_fd_transformed_mesh():
         np.testing.assert_allclose(J, J_fd, rtol=1e-5, atol=1e-6)
 
 
-def _three_zone_problem(system=None, lam=6.0):
-    """Converged identity knots re-tagged I, SP2, SP1.FP2: two switches."""
+def _three_zone_problem(system=None, lam=6.0, m=10, switches=(4, 7)):
+    """Converged identity knots on m intervals re-tagged I, SP2, SP1.FP2,
+    with the switches at the given intervals."""
     spec = troesch(lam)
-    sol = solve_spec(spec, uniform_mesh(spec, 0.1), IdentityStrategy())
-    labels = ["I"] * 4 + ["SP2"] * 3 + ["SP1.FP2"] * 3
+    sol = solve_spec(spec, uniform_mesh(spec, 1.0 / m), IdentityStrategy())
+    s1, s2 = switches
+    labels = ["I"] * s1 + ["SP2"] * (s2 - s1) + ["SP1.FP2"] * (m - s2)
     mesh = EvolvingMesh(sol.mesh.U, sol.mesh.T,
                         zones_of([Transform.parse(l) for l in labels]))
     return SegmentedProblem(system or spec.system, spec.bc, mesh, (0.0, 1.0))
@@ -179,9 +181,9 @@ def test_scalar_only_rhs_is_evaluation_error():
 
 
 def test_jacobian_work_count(monkeypatch):
-    # the blocks come from one batched jac call per zone and chunk, never
-    # from residual passes; the boundary rows from 2*(n+1) central
-    # differences of the user's g per end
+    # the blocks come from one batched jac call per zone and batch, never
+    # from residual passes; the boundary rows from central differences of
+    # the user's g over the 2n end coordinates it reads, two calls each
     spec = troesch(6.0)
     calls = {"jac": 0, "residual": 0, "bc_residual": 0, "g": 0}
 
@@ -196,27 +198,39 @@ def test_jacobian_work_count(monkeypatch):
     counted = OdeSystem(2, spec.system.rhs, jac=jac)
     problem = _three_zone_problem(counted)
     problem.bc = BoundaryConditions(g, spec.bc.pins)
-    residual = _Sweep.interval_residual
+    residual_at = _Sweep.residual_at
     bc_residual = _Sweep.bc_residual
 
-    def interval_residual(self, Q):
+    def counted_residual_at(self, view):
         calls["residual"] += 1
-        return residual(self, Q)
+        return residual_at(self, view)
 
     def counted_bc_residual(self, q0, qm):
         calls["bc_residual"] += 1
         return bc_residual(self, q0, qm)
 
-    monkeypatch.setattr(_Sweep, "interval_residual", interval_residual)
+    monkeypatch.setattr(_Sweep, "residual_at", counted_residual_at)
     monkeypatch.setattr(_Sweep, "bc_residual", counted_bc_residual)
-    monkeypatch.setattr(trapezoid, "_JAC_CHUNK", 4)
+    # batches of 4 intervals, 0..3, 4..7 and 8..9, meet the zones'
+    # intervals 0..3, 4..6 and 7..9 in 4 pieces
+    monkeypatch.setattr(trapezoid, "_CHUNK", 2)
     assemble_jacobian(problem)
-    # every zone's knots s..e, the switch knot included, in chunks of 4
-    chunks = sum(-(-(e - s + 1) // 4) for _, s, e in problem.mesh.zones)
     assert calls["residual"] == 0
-    assert calls["jac"] == chunks
+    assert calls["jac"] == 4
     assert calls["bc_residual"] == 0
-    assert calls["g"] == 4 * (problem.mesh.n + 1)
+    assert calls["g"] == 4 * problem.mesh.n
+
+
+def test_non_finite_boundary_derivative_is_evaluation_error(troesch3):
+    # g is finite at the iterate, where u2(b) = 1, and infinite one
+    # central-difference step away from it
+    mesh = init_linear(0.0, 1.0, 5, (0.0, 1.0))
+    bc = BoundaryConditions(lambda ua, ub: np.array(
+        [ua[0], ub[0] - 1.0 + (0.0 if ub[1] == 1.0 else np.inf)]))
+    problem = SegmentedProblem(troesch3.system, bc, mesh, (0.0, 1.0))
+    assert np.isfinite(assemble_residual(problem)).all()
+    with pytest.raises(EvaluationError, match="non-finite boundary"):
+        assemble_jacobian(problem)
 
 
 def test_residual_work_count(monkeypatch):
@@ -241,21 +255,51 @@ def test_zero_natural_step_at_switch_raises():
     problem = _three_zone_problem()
     _, s, _ = problem.mesh.zones[1]
     problem.mesh.U[s + 1, 1] = problem.mesh.U[s, 1]
-    sweep = _Sweep(problem)
-    for evaluate in (sweep.residual, sweep.blocks):
+    for evaluate in (assemble_residual, assemble_jacobian):
         with pytest.raises(SingularStepError,
                            match=rf"zero natural step on interval {s}$"):
-            evaluate(sweep.Q0)
+            evaluate(problem)
 
 
 def test_jacobian_independent_of_chunking(monkeypatch):
+    # batches of 2 intervals: the switch at interval 4 starts one, the
+    # switch at 7 ends one
     problem = _three_zone_problem()
     whole = assemble_jacobian(problem)
-    monkeypatch.setattr(trapezoid, "_JAC_CHUNK", 3)
+    monkeypatch.setattr(trapezoid, "_CHUNK", 1)
     chunked = assemble_jacobian(problem)
     for name in "ABCD":
         np.testing.assert_array_equal(getattr(chunked, name),
                                       getattr(whole, name))
+
+
+# batches of 3 pairs, 6 intervals: with the switches at intervals 6 and 36
+# each starts a batch; m = 41 carries an odd last row up, 42 does not
+@pytest.mark.parametrize("m", [41, 42])
+def test_streamed_solve_matches_assembled(monkeypatch, m):
+    problem = _three_zone_problem(m=m, switches=(6, 36))
+    assembled = assemble_jacobian(problem)
+    whole = assemble_residual(problem)
+    monkeypatch.setattr(trapezoid, "_CHUNK", 3)
+    sweep = _Sweep(problem)
+    view = sweep.zone_view(sweep.Q0)
+    r = sweep.residual_at(view)
+    np.testing.assert_array_equal(r, whole)
+    jac = sweep.jacobian(view)
+    reads = []
+    rows = jac.rows
+
+    def counted_rows(a, b):
+        reads.append((a, b))
+        return rows(a, b)
+
+    jac.rows = counted_rows
+    rhs = r[:2 * m].reshape(m, 2), r[2 * m:]
+    np.testing.assert_array_equal(solve_linear_block(jac, *rhs),
+                                  solve_linear_block(assembled, *rhs))
+    # the first level reads each batch once, never the whole mesh, and the
+    # odd last row with the last batch; the second level is the dense tail
+    assert reads == [(a, a + 6) for a in range(0, 36, 6)] + [(36, m)]
 
 
 def test_linear_system_has_constant_jacobian():
@@ -577,10 +621,11 @@ def _large_three_zone_problem(knots, lam=6.0):
 
 
 def test_sweep_memory_budget():
-    # a Newton step holds its blocks, the residual, the cyclic reduction's
-    # top rows and one coarse-row buffer: measured 265 bytes per knot,
-    # against 392 when each step also kept the previous step's blocks, a
-    # whole-zone Jacobian and its moved copy, and a coarse array per level
+    # a Newton step holds the iterate, its residual, the cyclic reduction's
+    # top rows and one coarse-row buffer, and the Jacobian's rows only one
+    # batch at a time: measured 201 bytes per knot, against 265 when the
+    # step held its whole blocks and 392 when it also kept the previous
+    # step's blocks, a whole-zone Jacobian and a coarse array per level
     knots = 50_000
     sweep = _Sweep(_large_three_zone_problem(knots))
     tracemalloc.start()
@@ -590,7 +635,7 @@ def test_sweep_memory_budget():
     finally:
         tracemalloc.stop()
     assert iters >= 2 and norm <= 1e-10
-    assert peak / knots <= 320
+    assert peak / knots <= 220
 
 
 def test_newton_solve_diagnostics(troesch3):

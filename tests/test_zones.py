@@ -173,8 +173,9 @@ def test_zone_work_is_independent_of_mesh_size(monkeypatch):
     mesh = EvolvingMesh(mesh.U, mesh.T, zones)
     assert [tr.label() for tr, _, _ in mesh.zones] == ["I", "SP2", "SP1.FP2"]
     sweep = _Sweep(SegmentedProblem(spec.system, spec.bc, mesh, spec.domain))
-    sweep.residual(sweep.Q0)
-    sweep.blocks(sweep.Q0)
+    view = sweep.zone_view(sweep.Q0)
+    sweep.residual_at(view)
+    sweep.jacobian(view).rows(0, sweep.m)
     steps = mesh.natural_steps()
     # decimate the shortest steps and split the longest, so both re-index
     fewer = normalize(mesh, merge_tol=1.01 * steps.min())
