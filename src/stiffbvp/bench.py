@@ -326,8 +326,9 @@ def export_solution(solution: Solution, path):
 
 
 def import_solution(path) -> EvolvingMesh:
-    """Inverse of export_solution (bit-exact at 64-bit).  A malformed file
-    raises ConfigError naming its line."""
+    """Inverse of export_solution (bit-exact at 64-bit).  A malformed file,
+    including a non-finite value or a decreasing t, raises ConfigError
+    naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         n = len(next(reader, [])) - 2
@@ -339,8 +340,13 @@ def import_solution(path) -> EvolvingMesh:
             try:
                 if len(row) != n + 2:
                     raise ValueError(f"{len(row)} fields, expected {n + 2}")
-                T_vals.append(float(row[0]))
-                U_rows.append([float(v) for v in row[1:1 + n]])
+                values = [float(v) for v in row[:1 + n]]
+                if not np.isfinite(values).all():
+                    raise ValueError("non-finite value")
+                if T_vals and values[0] < T_vals[-1]:
+                    raise ValueError(f"t decreases to {row[0]}")
+                T_vals.append(values[0])
+                U_rows.append(values[1:])
                 transforms.append(Transform.parse(row[1 + n]))
             except ValueError as exc:
                 raise ConfigError(

@@ -80,17 +80,14 @@ class EvolvingMesh:
     def interval_count(self) -> int:
         return len(self.T) - 1
 
-    def natural_steps(self, signed: bool = False) -> np.ndarray:
-        """tau_{i+1} - tau_i per interval, in each interval's own variable.
-
-        Unsigned by default; pass ``signed=True`` to see orientation
-        (inverted intervals show up as sign flips within a zone).
-        """
+    def natural_steps(self) -> np.ndarray:
+        """tau_{i+1} - tau_i per interval, in each interval's own variable;
+        signed, so an inverted interval shows as a sign flip in its zone."""
         out = np.empty(self.interval_count)
         for tr, s, e in self.zones:
             _, tau = map_state(tr, self.U[s:e + 1].T, self.T[s:e + 1])
             out[s:e] = np.diff(tau)
-        return out if signed else np.abs(out)
+        return out
 
 
 def merge_runs(runs: Iterable[Zone]) -> Tuple[Zone, ...]:
@@ -154,20 +151,16 @@ def init_linear(a: float, b: float, m: int, bc_values, n: int = 2) -> EvolvingMe
 
 
 def normalize(mesh: EvolvingMesh, merge_tol: float = 0.0) -> EvolvingMesh:
-    """Sort knots by t and decimate degenerate intervals.
+    """Decimate degenerate intervals, keeping the knots' order.
 
     An interval is degenerate when its natural step is shorter than
-    ``merge_tol`` or when it runs against its zone's orientation (a zigzag
-    produced by the moving iterate); one of its knots is removed and the
-    check repeats until the mesh is clean.  The two boundary knots are
-    never removed.  Raises MeshError if fewer than 3 knots survive.
+    ``merge_tol``, when it runs against its zone's orientation (a zigzag
+    produced by the moving iterate), or when t does not increase across
+    it; one of its knots is removed and the check repeats until the mesh
+    is clean.  The two boundary knots are never removed.  Raises
+    MeshError if fewer than 3 knots survive.
     """
     out = mesh
-    order = np.argsort(out.T, kind="stable")
-    if not np.array_equal(order, np.arange(len(order))):
-        parent = np.minimum(order[:-1], out.interval_count - 1)
-        out = EvolvingMesh(out.U[order], out.T[order],
-                           _inherit_zones(out.zones, parent))
     while True:
         bad = _degenerate_mask(out, merge_tol)
         if bad is None:
@@ -193,13 +186,13 @@ def normalize(mesh: EvolvingMesh, merge_tol: float = 0.0) -> EvolvingMesh:
 
 def _degenerate_mask(mesh: EvolvingMesh, merge_tol: float):
     """Boolean mask of degenerate intervals, or None when all are clean."""
-    steps = mesh.natural_steps(signed=True)
+    steps = mesh.natural_steps()
     bad = np.zeros(mesh.interval_count, dtype=bool)
     for _, s, e in mesh.zones:
         group = steps[s:e]
         dominant = np.sign(np.median(group)) or 1.0
         bad[s:e] = (np.abs(group) < merge_tol) | (group * dominant <= 0.0)
-    bad |= np.diff(mesh.T) == 0.0
+    bad |= np.diff(mesh.T) <= 0.0
     return bad if bad.any() else None
 
 

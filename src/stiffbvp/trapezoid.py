@@ -364,6 +364,8 @@ class _Sweep:
         view = self.zone_view(Q)
         r = self.residual_at(view)
         norm = self.norm = float(np.max(np.abs(r)))
+        if np.isnan(norm):
+            raise EvaluationError("the residual at the initial iterate is NaN")
         iters = 0
         mn = self.m * self.n
         while norm > cfg.tol:
@@ -584,7 +586,11 @@ def newton_solve(problem: SegmentedProblem, cfg: NewtonConfig = NewtonConfig(),
 
     The strategy hook (when given) reassigns the zones before every
     Newton sweep; the solve is finished once a converged sweep is followed
-    by a no-op reassignment, normalization and refinement.  With
+    by a reassignment that keeps the zones and a normalization and
+    refinement that keep the knot count.  Only the count is compared, so
+    a knot that normalization drops and refinement adds back elsewhere
+    goes unseen, and the returned mesh may be one that no sweep converged
+    on (ROADMAP item 15, defect 1).  With
     ``rcfg=None`` the mesh topology is kept fixed (no refinement, no
     decimation).  A failed sweep is repaired by decimating its degenerate
     knots; when the sweep after a repair fails on the same zones and knot

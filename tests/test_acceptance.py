@@ -161,7 +161,7 @@ def test_criterion_7_structural_invariants():
     zones_ok = labels == ["I", "SP2", "SP1.FP2"]
 
     # mesh invariants: sorted strictly in t, natural steps within bounds
-    steps = sol.mesh.natural_steps()
+    steps = np.abs(sol.mesh.natural_steps())
     mesh_ok = ((np.diff(sol.mesh.T) > 0).all()
                and (steps <= rcfg.h_max * (1 + 1e-9)).all()
                and sol.mesh.T[0] == 0.0 and sol.mesh.T[-1] == 1.0)

@@ -214,7 +214,12 @@ def test_solution_export_import_round_trip(tmp_path, troesch3):
     ("t,u1,u2,transform\n0,0,1,I\n0.5,half,1,I\n1,1,1,I\n", 3),
     ("t,u1,u2,transform\n0,0,1,I\n0.5,0.5,1,SPX\n1,1,1,I\n", 3),
     ("t,u1,u2,transform\n0,0,1,I\n0.5,0.5\n1,1,1,I\n", 3),
-], ids=["empty", "non-numeric", "bad-transform", "short-row"])
+    ("t,u1,u2,transform\n0,0,1,I\n0.6,0.6,1,I\n0.4,0.4,1,I\n1,1,1,I\n",
+     4),
+    ("t,u1,u2,transform\n0,0,1,I\nnan,0.5,1,I\n1,1,1,I\n", 3),
+    ("t,u1,u2,transform\n0,0,1,I\n0.5,0.5,inf,I\n1,1,1,I\n", 3),
+], ids=["empty", "non-numeric", "bad-transform", "short-row",
+        "decreasing-t", "nan-t", "infinite-u"])
 def test_import_solution_rejects_malformed_file(tmp_path, text, line):
     path = tmp_path / "bad.csv"
     path.write_text(text)

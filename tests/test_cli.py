@@ -47,6 +47,14 @@ def test_solver_failure_exit_code():
     assert code == 2
 
 
+def test_auto_strategy_keeps_swaps_off_the_boundary():
+    # the knots keep their order in normalize, so no swap the strategy
+    # kept off a boundary interval is carried onto one
+    code = main(["solve", "--lambda", "8", "--strategy", "auto",
+                 "--h-min", "0.01", "--h-max", "0.1", "--quiet"])
+    assert code == 0
+
+
 def test_config_file_supplies_values(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("lambda = 3  # stiffness\nh0 = 0.1\n")

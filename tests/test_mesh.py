@@ -66,12 +66,14 @@ def test_natural_steps_with_swap():
 
 # -- normalize ------------------------------------------------------------
 
-def test_normalize_sorts_by_t():
+def test_normalize_decimates_t_inverted_interval():
+    # knots keep their order, so the interval from t = 0.6 back to 0.4
+    # is decimated
     U = np.array([[0.0, 1.0], [0.6, 1.0], [0.4, 1.0], [1.0, 1.0]])
     mesh = EvolvingMesh(U, np.array([0.0, 0.6, 0.4, 1.0]))
     out = normalize(mesh)
-    np.testing.assert_allclose(out.T, [0.0, 0.4, 0.6, 1.0])
-    np.testing.assert_allclose(out.U[:, 0], [0.0, 0.4, 0.6, 1.0])
+    np.testing.assert_allclose(out.T, [0.0, 0.6, 1.0])
+    np.testing.assert_allclose(out.U[:, 0], [0.0, 0.6, 1.0])
 
 
 def test_normalize_keeps_clean_mesh():
@@ -104,7 +106,7 @@ def test_normalize_decimates_zone_zigzag():
     U = np.column_stack([u1, np.ones(6)])
     mesh = EvolvingMesh(U, T, [(Transform(swap=1), 0, 5)])
     out = normalize(mesh)
-    steps = out.natural_steps(signed=True)
+    steps = out.natural_steps()
     assert (steps > 0).all()
     assert out.knot_count < 6
 
@@ -164,7 +166,7 @@ def test_refine_splits_to_h_max():
     mesh = init_linear(0.0, 1.0, 2, (0.0, 1.0))
     cfg = RefinementConfig(M=10.0, h_min=0.01, h_max=0.1)
     out = refine(mesh, _constant_system(), cfg)
-    assert (out.natural_steps() <= 0.1 * (1 + 1e-9)).all()
+    assert (np.abs(out.natural_steps()) <= 0.1 * (1 + 1e-9)).all()
     # midpoints interpolate linearly
     np.testing.assert_allclose(out.U[:, 0], out.T, atol=1e-12)
 
@@ -182,7 +184,7 @@ def test_refine_rough_interval_bisected_until_resolved():
     mesh = EvolvingMesh(np.column_stack([T, np.ones(4)]), T)
     cfg = RefinementConfig(M=0.5, h_min=0.01, h_max=1.0)
     out = refine(mesh, system, cfg)
-    steps = out.natural_steps()
+    steps = np.abs(out.natural_steps())
     d = 5.0 * steps            # rhs variation per interval
     assert ((d < 2 * cfg.M) | (steps < 2 * cfg.h_min)).all()
 
@@ -196,7 +198,7 @@ def test_refine_respects_h_min():
     mesh = init_linear(0.0, 1.0, 4, (0.0, 1.0))
     cfg = RefinementConfig(M=0.1, h_min=0.05, h_max=0.5)
     out = refine(mesh, system, cfg)
-    assert (out.natural_steps() >= 0.05 * (1 - 1e-9)).all()
+    assert (np.abs(out.natural_steps()) >= 0.05 * (1 - 1e-9)).all()
 
 
 def test_refine_knot_cap(monkeypatch):

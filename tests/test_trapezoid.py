@@ -233,6 +233,15 @@ def test_non_finite_boundary_derivative_is_evaluation_error(troesch3):
         assemble_jacobian(problem)
 
 
+def test_nan_knot_is_evaluation_error():
+    # a NaN t makes the initial residual NaN, which no stop test rejects
+    T = np.array([0.0, 0.25, np.nan, 0.75, 1.0])
+    mesh = EvolvingMesh(np.column_stack([np.linspace(0.0, 1.0, 5),
+                                         np.ones(5)]), T)
+    with pytest.raises(EvaluationError, match="NaN"):
+        solve_spec(troesch(1.0), mesh, IdentityStrategy())
+
+
 def test_residual_work_count(monkeypatch):
     # one rhs evaluation per zone, at its knots s..e: interior knots are
     # evaluated once, not once as a left and once as a right knot

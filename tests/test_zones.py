@@ -1,17 +1,17 @@
 """Zones: the contiguous runs of interval transforms a mesh stores.
 
-Re-indexing operations (sort, decimation, bisection) are checked against
+Re-indexing operations (decimation, bisection) are checked against
 a per-interval reference computed here, and the solver layers are checked
 to compare transforms once per zone, not once per interval.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stiffbvp import (ConfigError, EvolvingMesh, IdentityStrategy, OdeSystem,
-                      RefinementConfig, SegmentedProblem,
+from stiffbvp import (ConfigError, EvolvingMesh, IdentityStrategy, MeshError,
+                      OdeSystem, RefinementConfig, SegmentedProblem,
                       SteepGrowthZoneStrategy, Transform, normalize, refine,
                       solve_spec, troesch, uniform_mesh)
 from stiffbvp.mesh import _bisect
@@ -60,23 +60,32 @@ seed_st = st.integers(0, 2 ** 32 - 1)
 
 @settings(max_examples=100, deadline=None)
 @given(labels_st, seed_st, st.booleans(), st.sampled_from([0.0, 0.1, 0.25]))
+@example([0] * 5, 532966, True, 0.1)
 def test_normalize_zones_match_per_interval_reference(labels, seed, shuffle,
                                                       quantile):
     mesh, per = _random_mesh(labels, seed)
     m = mesh.interval_count
     if shuffle:
+        # the knots' t go out of order, the zones stay as they were
         perm = np.concatenate([[0], 1 + np.random.default_rng(seed)
                                .permutation(m - 1), [m]])
         mesh = EvolvingMesh(mesh.U[perm], mesh.T[perm], mesh.zones)
     merge_tol = float(np.quantile(np.diff(np.sort(mesh.T)), quantile))
-    out = normalize(mesh, merge_tol=merge_tol)
-    # sorting: new interval j takes the transform of the interval that
-    # started at its left knot; decimation: a surviving knot keeps the
-    # transform of the interval it started in the sorted mesh
-    order = np.argsort(mesh.T, kind="stable")
-    per = [per[min(i, m - 1)] for i in order[:-1]]
-    kept = np.searchsorted(mesh.T[order], out.T)
-    np.testing.assert_array_equal(mesh.T[order][kept], out.T)
+    try:
+        out = normalize(mesh, merge_tol=merge_tol)
+    except MeshError:
+        # t-inverted intervals are decimated, and may leave too few knots
+        if not shuffle:
+            raise
+        return
+    # the surviving knots are input knots in input order, and each keeps
+    # the transform of the interval it started
+    order = np.argsort(mesh.T)
+    kept = order[np.searchsorted(mesh.T[order], out.T)]
+    assert (np.diff(kept) > 0).all()
+    assert (np.diff(out.T) > 0).all()
+    np.testing.assert_array_equal(mesh.T[kept], out.T)
+    np.testing.assert_array_equal(mesh.U[kept], out.U)
     assert out.zones == _rle([per[k] for k in kept[:-1]])
 
 
@@ -176,7 +185,7 @@ def test_zone_work_is_independent_of_mesh_size(monkeypatch):
     view = sweep.zone_view(sweep.Q0)
     sweep.residual_at(view)
     sweep.jacobian(view).rows(0, sweep.m)
-    steps = mesh.natural_steps()
+    steps = np.abs(mesh.natural_steps())
     # decimate the shortest steps and split the longest, so both re-index
     fewer = normalize(mesh, merge_tol=1.01 * steps.min())
     more = refine(mesh, spec.system, RefinementConfig(
