@@ -11,7 +11,7 @@ measured in each interval's own independent variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,8 +50,8 @@ class EvolvingMesh:
             raise ConfigError(f"a mesh needs at least 2 knots, got {m + 1}")
         if self.zones is None:
             self.zones = ((IDENTITY, 0, m),)
-        self.zones = tuple((tr, int(s), int(e)) for tr, s, e in self.zones)
-        stop = 0
+        self.zones = tuple([(tr, int(s), int(e)) for tr, s, e in self.zones])
+        stop, n = 0, self.n
         for k, (tr, s, e) in enumerate(self.zones):
             if s != stop or e <= s:
                 raise ConfigError(
@@ -60,10 +60,10 @@ class EvolvingMesh:
             if k and tr == self.zones[k - 1][0]:
                 raise ConfigError(
                     f"zones {k - 1} and {k} carry the same transform")
-            if tr.max_index > self.n:
+            if tr.max_index > n:
                 raise ConfigError(
                     f"zone {k} transform {tr.label()} indexes a component "
-                    f"outside 1..{self.n}")
+                    f"outside 1..{n}")
             stop = e
         if stop != m:
             raise ConfigError(f"zones cover {stop} of {m} intervals")
@@ -85,8 +85,10 @@ class EvolvingMesh:
         signed, so an inverted interval shows as a sign flip in its zone."""
         out = np.empty(self.interval_count)
         for tr, s, e in self.zones:
-            _, tau = map_state(tr, self.U[s:e + 1].T, self.T[s:e + 1])
-            out[s:e] = np.diff(tau)
+            tau = self.T[s:e + 1]
+            if not tr.is_identity:
+                tau = map_state(tr, self.U[s:e + 1].T, tau)[1]
+            out[s:e] = tau[1:] - tau[:-1]
         return out
 
 
@@ -108,7 +110,7 @@ def _inherit_zones(zones: Tuple[Zone, ...],
     interval ``parent[j]`` of a mesh with ``zones``."""
     stops = np.array([e for _, _, e in zones])
     code = np.searchsorted(stops, parent, side="right")
-    cut = (np.flatnonzero(np.diff(code)) + 1).tolist()
+    cut = ((code[1:] != code[:-1]).nonzero()[0] + 1).tolist()
     return merge_runs((zones[code[s]][0], s, e)
                       for s, e in zip([0] + cut, cut + [len(parent)]))
 
@@ -190,10 +192,24 @@ def _degenerate_mask(mesh: EvolvingMesh, merge_tol: float):
     bad = np.zeros(mesh.interval_count, dtype=bool)
     for _, s, e in mesh.zones:
         group = steps[s:e]
-        dominant = np.sign(np.median(group)) or 1.0
+        dominant = _median_sign(group)
         bad[s:e] = (np.abs(group) < merge_tol) | (group * dominant <= 0.0)
-    bad |= np.diff(mesh.T) <= 0.0
+    T = mesh.T
+    bad |= np.subtract(T[1:], T[:-1]) <= 0.0
     return bad if bad.any() else None
+
+
+def _median_sign(group: np.ndarray):
+    """np.sign(np.median(group)) or 1.0, a zone's orientation.  When more
+    than half the steps have one sign and none is NaN, the median's middle
+    steps both have it, so it is read off the counts; np.median decides
+    the rest, where zeros, a tie or a NaN can set it."""
+    pos = np.count_nonzero(group > 0.0)
+    neg = np.count_nonzero(group < 0.0)
+    half = len(group) / 2
+    if (pos > half or neg > half) and not np.isnan(group).any():
+        return 1.0 if pos > half else -1.0
+    return np.sign(np.median(group)) or 1.0
 
 
 def refine(mesh: EvolvingMesh, system: OdeSystem,
@@ -206,8 +222,10 @@ def refine(mesh: EvolvingMesh, system: OdeSystem,
     their neighbors, and both halves stay in the parent interval's zone.
     """
     out = mesh
+    # bisection keeps the zones' transforms, so their systems are built once
+    systems = [apply(tr, system) for tr, _, _ in mesh.zones]
     for _ in range(64):  # each pass at least halves offending steps
-        split = _split_mask(out, system, cfg)
+        split = _split_mask(out, systems, cfg)
         if not split.any():
             return out
         if out.knot_count + int(split.sum()) > MAX_KNOTS:
@@ -217,14 +235,18 @@ def refine(mesh: EvolvingMesh, system: OdeSystem,
     raise RefinementError("refinement failed to settle (64 passes)")
 
 
-def _split_mask(mesh: EvolvingMesh, system: OdeSystem,
+def _split_mask(mesh: EvolvingMesh, systems: List[OdeSystem],
                 cfg: RefinementConfig) -> np.ndarray:
+    """The intervals to bisect; ``systems`` are the zones' systems in
+    their natural variables, in zone order."""
     split = np.empty(mesh.interval_count, dtype=bool)
-    for tr, s, e in mesh.zones:
-        q, tau = map_state(tr, mesh.U[s:e + 1].T, mesh.T[s:e + 1])
-        h = np.abs(np.diff(tau))
-        f = eval_rhs_batch(apply(tr, system), q, tau)
-        d = np.max(np.abs(np.diff(f, axis=1)), axis=0)
+    for (tr, s, e), tsys in zip(mesh.zones, systems):
+        q, tau = mesh.U[s:e + 1].T, mesh.T[s:e + 1]
+        if not tr.is_identity:
+            q, tau = map_state(tr, q, tau)
+        h = np.abs(tau[1:] - tau[:-1])
+        f = eval_rhs_batch(tsys, q, tau)
+        d = np.abs(f[:, 1:] - f[:, :-1]).max(axis=0)
         over_max = h > cfg.h_max * (1 + 1e-12)
         rough = (d >= 2 * cfg.M) & (h >= 2 * cfg.h_min * (1 - 1e-12))
         split[s:e] = (over_max | rough) & (h > 0)

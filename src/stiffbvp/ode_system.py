@@ -92,18 +92,18 @@ class BoundaryConditions:
     pins: Mapping = field(default_factory=dict)
 
 
+# overflow to inf is expected near steep layers and reported by callers
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _call_batch(fn: Callable, what: str, U, T):
     """fn(U, T) as a float array; the TypeError or ValueError with which a
     function that is not batch-safe fails becomes an EvaluationError."""
-    # overflow to inf is expected near steep layers and reported by callers
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        try:
-            return np.asarray(fn(U, T), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise EvaluationError(
-                f"{what} failed on a batch of {U.shape[1]} states ({exc}); "
-                f"it must accept u of shape (n, B) and t of shape (B,)"
-            ) from exc
+    try:
+        return np.asarray(fn(U, T), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise EvaluationError(
+            f"{what} failed on a batch of {U.shape[1]} states ({exc}); "
+            f"it must accept u of shape (n, B) and t of shape (B,)"
+        ) from exc
 
 
 def eval_rhs_batch(system: OdeSystem, U, T):
@@ -118,8 +118,8 @@ def eval_rhs_batch(system: OdeSystem, U, T):
     if out.shape != U.shape:
         raise EvaluationError(
             f"rhs returned shape {out.shape} for a batch, expected {U.shape}")
-    bad = ~np.isfinite(out)
-    if bad.any():
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(out)
         j = int(np.argmax(bad.any(axis=-1)))
         raise EvaluationError(
             f"non-finite rhs component {j + 1} in batched evaluation",
@@ -132,7 +132,8 @@ def eval_jacobian_batch(system: OdeSystem, U, T):
     system's ``jac``.
 
     ``U`` has shape (n, B), ``T`` shape (B,).  A wrong shape and non-finite
-    entries raise EvaluationError.
+    entries raise EvaluationError; for the latter it names the first state
+    in the batch with one, and its first such row.
     """
     U = np.asarray(U, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -143,8 +144,12 @@ def eval_jacobian_batch(system: OdeSystem, U, T):
             f"jac returned shape {out.shape}, "
             f"expected ({n}, {n + 1}, {count})")
     if not np.isfinite(out).all():
-        raise EvaluationError("non-finite Jacobian entry in batched "
-                              "evaluation")
+        bad = ~np.isfinite(out)
+        b = int(np.argmax(bad.any(axis=(0, 1))))
+        j = int(np.argmax(bad[..., b].any(axis=1)))
+        raise EvaluationError(
+            f"non-finite Jacobian entry in row {j + 1} at batch index {b}",
+            component=j + 1)
     return out
 
 

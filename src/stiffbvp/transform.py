@@ -32,9 +32,13 @@ class Transform:
 
     swap: Optional[int] = None
     flips: FrozenSet[int] = field(default_factory=frozenset)
+    # no swap and no flips; set from the two, read on every Newton step
+    is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "flips", frozenset(self.flips))
+        object.__setattr__(self, "is_identity",
+                           self.swap is None and not self.flips)
         if self.swap is not None and self.swap < 1:
             raise ValueError("swap index must be >= 1")
         if any(l < 1 for l in self.flips):
@@ -43,23 +47,15 @@ class Transform:
             raise ValueError("composing a k-swap with a k-flip is not allowed")
 
     @property
-    def is_identity(self) -> bool:
-        return self.swap is None and not self.flips
-
-    @property
     def max_index(self) -> int:
         """Largest component index the transform acts on; 0 for I."""
         return max(self.flips | {self.swap or 0})
 
     def label(self) -> str:
         """Compact text form: "I", "SP1.FP2", "SP2", "FP2", ..."""
-        if self.is_identity:
-            return "I"
-        parts = []
-        if self.swap is not None:
-            parts.append(f"SP{self.swap}")
-        parts.extend(f"FP{l}" for l in sorted(self.flips))
-        return ".".join(parts)
+        parts = [] if self.swap is None else [f"SP{self.swap}"]
+        parts += [f"FP{l}" for l in sorted(self.flips)]
+        return ".".join(parts) or "I"
 
     @classmethod
     def parse(cls, text: str) -> "Transform":
@@ -105,7 +101,7 @@ def apply(transform: Transform, system: OdeSystem) -> OdeSystem:
     ki = None if k is None else k - 1
     # columns of [dF/du | dF/dt] in the swapped variables: position k now
     # holds the old t, the independent variable the old u_k
-    perm = list(range(n + 1))
+    perm = np.arange(n + 1)
     if ki is not None:
         perm[ki], perm[n] = n, ki
 
@@ -116,15 +112,18 @@ def apply(transform: Transform, system: OdeSystem) -> OdeSystem:
         if ki is not None:
             u[ki], t = s, v[ki]
         for l in flips:
-            if np.any(v[l - 1] == 0.0):
+            vl = v[l - 1]
+            if np.count_nonzero(vl) < vl.size:
                 raise EvaluationError(
                     f"flip component w_{l} vanished", component=l)
-            u[l - 1] = 1.0 / v[l - 1]
+            u[l - 1] = 1.0 / vl
         f = np.asarray(system.rhs(u, t), dtype=float)
-        h = f.copy()
+        # H is F with its flipped rows rewritten; F, which may be an array
+        # the system keeps, is only read
+        h = f.copy() if flips else f
         for l in flips:
             h[l - 1] = -f[l - 1] * v[l - 1] * v[l - 1]
-        if ki is not None and np.any(h[ki] == 0.0):
+        if ki is not None and np.count_nonzero(h[ki]) < h[ki].size:
             raise EvaluationError(
                 f"swap denominator F_{k} vanished", component=k)
         return v, u, t, f, h
@@ -139,7 +138,14 @@ def apply(transform: Transform, system: OdeSystem) -> OdeSystem:
 
     def jac(v, s):
         v, u, t, f, h = evaluate(v, s)
-        df = np.array(system.jac(u, t), dtype=float)
+        # the flips scale df in place, so it is a copy of the system's
+        # Jacobian: the column permutation of a swap makes one, and
+        # commutes with the flips, which touch neither column k nor n
+        df = system.jac(u, t)
+        if ki is None:
+            df = np.array(df, dtype=float)
+        else:
+            df = np.asarray(df, dtype=float)[:, perm]
         for l in flips:
             li = l - 1
             df[:, li] *= -u[li] * u[li]             # d(1/v_l)/dv_l
@@ -147,7 +153,6 @@ def apply(transform: Transform, system: OdeSystem) -> OdeSystem:
             df[li, li] -= 2.0 * f[li] * v[li]
         if ki is None:
             return df
-        df = df[:, perm]
         # G_j = H_j / H_k for j != k, G_k = 1 / H_k
         out = (df - (h / h[ki])[:, None] * df[ki]) / h[ki]
         out[ki] = -df[ki] / h[ki] / h[ki]
@@ -168,17 +173,17 @@ def map_state(transform: Transform, x, s):
     (x shape (n, B), s shape (B,)).  A zero flipped component raises
     EvaluationError, as in ``apply``.
     """
-    x = np.asarray(x, dtype=float)
-    y = x.copy()
+    # y starts as a copy of x; the swapped component is never flipped
+    y = np.array(x, dtype=float)
     for l in transform.flips:
-        xl = x[l - 1]
-        if np.any(xl == 0.0):
+        xl = y[l - 1]
+        if np.count_nonzero(xl) < xl.size:
             raise EvaluationError(f"cannot flip zero component x_{l}",
                                   component=l)
         y[l - 1] = 1.0 / xl
     if transform.swap is not None:
         ki = transform.swap - 1
-        r = np.array(x[ki], dtype=float, copy=True)
+        r = np.array(y[ki], dtype=float, copy=True)
         y[ki] = s
     else:
         r = np.array(s, dtype=float, copy=True)
@@ -198,10 +203,13 @@ def state_jacobian(transform: Transform, x):
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     out = np.zeros((n + 1, n + 1) + x.shape[1:])
-    for j in range(n + 1):
-        out[j, j] = 1.0
+    # the unit matrix: every (n+2)-th of the (n+1)**2 entries
+    out.reshape((n + 1) ** 2, -1)[::n + 2] = 1.0
     for l in transform.flips:
         out[l - 1, l - 1] = -1.0 / x[l - 1] ** 2
     if transform.swap is not None:
-        out[[transform.swap - 1, n]] = out[[n, transform.swap - 1]]
+        # rows k and n exchanged; neither is a flip's
+        k = transform.swap - 1
+        out[k, k] = out[n, n] = 0.0
+        out[k, n] = out[n, k] = 1.0
     return out

@@ -104,15 +104,25 @@ class BlockJacobian:
         return self.A[a:b].transpose(1, 2, 0), self.B[a:b].transpose(1, 2, 0)
 
     def todense(self) -> np.ndarray:
-        m, n, _ = self.A.shape
-        J = np.zeros(((m + 1) * n, (m + 1) * n))
-        J4 = J.reshape(m + 1, n, m + 1, n)
-        k = np.arange(m)
-        J4[k, :, k, :] = self.A
-        J4[k, :, k + 1, :] = self.B
-        J4[m, :, 0, :] = self.C
-        J4[m, :, m, :] = self.D
-        return J
+        return _dense(self.A, self.B, self.C, self.D)
+
+
+def _dense(A: np.ndarray, B: np.ndarray, C: np.ndarray,
+           D: np.ndarray) -> np.ndarray:
+    """The dense matrix of BlockJacobian(A, B, C, D)."""
+    m, n, _ = A.shape
+    N = (m + 1) * n
+    J = np.zeros((N, N))
+    # block row i starts at flat offset i*n*N, and its block (i, i) i*n
+    # entries further on: cut into rows of n*N + n entries, row i < m
+    # starts at that block, and diag[i] is block row i from column i*n on
+    diag = J.reshape(-1)[:m * (n * N + n)].reshape(m, n * N + n)
+    diag = diag[:, :n * N].reshape(m, n, N)
+    diag[..., :n] = A
+    diag[..., n:2 * n] = B
+    J[m * n:, :n] = C
+    J[m * n:, m * n:] = D
+    return J
 
 
 @dataclass
@@ -150,7 +160,8 @@ class _Sweep:
         self.n = mesh.n
         self.m = mesh.interval_count
         self.zones = mesh.zones
-        self.tsys = {tr: apply(tr, self.system) for tr, _, _ in self.zones}
+        # each zone's system in its natural variables, in zone order
+        self.tsys = [apply(tr, self.system) for tr, _, _ in self.zones]
         # knot i is owned by interval i-1 (knot 0 by interval 0), so a zone
         # owns the knots after its start through its stop
         self.owned = [(tr, slice(s + 1 if k else 0, e + 1))
@@ -207,7 +218,7 @@ class _Sweep:
         view, head = [], None
         for k, (tr, s, e) in enumerate(self.zones):
             if k:
-                u, t = unmap_state(self.zones[k - 1][0], Q[s], self.tau[s])
+                u, t = _unmap(self.zones[k - 1][0], Q[s], self.tau[s])
                 head = (*map_state(tr, u, t), u)
                 if self.tau[s + 1] - head[1] == 0.0:
                     zero.append(s)
@@ -224,7 +235,7 @@ class _Sweep:
         variables.  Only a piece that starts at a switch is copied, to put
         the switch's head in its first column."""
         for k, (_, s, e, q, tau, head) in enumerate(view):
-            lo, hi = max(a, s), min(b, e)
+            lo, hi = (a if a > s else s), (b if b < e else e)
             if lo >= hi:
                 continue
             q, tau = q[:, lo - s:hi - s + 1], tau[lo - s:hi - s + 1]
@@ -242,7 +253,7 @@ class _Sweep:
         rows = out[:m * n].reshape(m, n).T
         for a in range(0, m, 2 * _CHUNK):
             for k, lo, hi, q, tau in self.pieces(view, a, a + 2 * _CHUNK):
-                f = eval_rhs_batch(self.tsys[view[k].tr], q, tau)
+                f = eval_rhs_batch(self.tsys[k], q, tau)
                 r = rows[:, lo:hi]
                 np.subtract(q[:, 1:], q[:, :-1], out=r)
                 r /= tau[1:] - tau[:-1]
@@ -258,8 +269,8 @@ class _Sweep:
 
     def end_states(self, q0: np.ndarray, qm: np.ndarray):
         """Original-variable end states (u_a, t_a, u_b, t_b)."""
-        u_a, t_a = unmap_state(self.zones[0][0], q0, self.tau[0])
-        u_b, t_b = unmap_state(self.zones[-1][0], qm, self.tau[-1])
+        u_a, t_a = _unmap(self.zones[0][0], q0, self.tau[0])
+        u_b, t_b = _unmap(self.zones[-1][0], qm, self.tau[-1])
         return u_a, t_a, u_b, t_b
 
     def boundary_residual(self, u_a, t_a, u_b, t_b) -> np.ndarray:
@@ -298,25 +309,29 @@ class _Sweep:
         n = self.n
         L = np.empty((n, n, b - a))
         R = np.empty((n, n, b - a))
-        diag = np.arange(n)
+        # their diagonals L[j, j] and R[j, j], strided views of shape
+        # (n, b-a): every (n+1)-th of the n*n rows
+        Ld = L.reshape(n * n, -1)[::n + 1]
+        Rd = R.reshape(n * n, -1)[::n + 1]
         for k, lo, hi, q, tau in self.pieces(view, a, b):
             tr, s, _, _, _, head = view[k]
-            J = eval_jacobian_batch(self.tsys[tr], q, tau)
-            left, right = L[..., lo - a:hi - a], R[..., lo - a:hi - a]
-            np.multiply(J[:, :n, :-1], -0.5, out=left)
-            np.multiply(J[:, :n, 1:], -0.5, out=right)
+            J = eval_jacobian_batch(self.tsys[k], q, tau)
+            i, j = lo - a, hi - a
+            np.multiply(J[:, :n, :-1], -0.5, out=L[..., i:j])
+            np.multiply(J[:, :n, 1:], -0.5, out=R[..., i:j])
             inv = 1.0 / (tau[1:] - tau[:-1])
-            left[diag, diag] -= inv
-            right[diag, diag] += inv
+            Ld[:, i:j] -= inv
+            Rd[:, i:j] += inv
             if lo == s and head is not None:
                 # the switch knot's coordinates belong to the previous zone
                 prev = view[k - 1]
                 dr = -0.5 * J[:, :, 0]
-                dr[diag, diag] -= inv[0]
+                dr.reshape(-1)[::n + 2] -= inv[0]       # its diagonal
                 dr[:, n] += (q[:, 1] - q[:, 0]) * inv[0] ** 2
-                dphi = (state_jacobian(tr, head[2])
-                        @ state_jacobian(prev.tr, prev.q[:, -1]))
-                left[..., 0] = dr @ dphi[:, :n]
+                dphi = state_jacobian(tr, head[2])
+                if not prev.tr.is_identity:
+                    dphi = dphi @ state_jacobian(prev.tr, prev.q[:, -1])
+                L[..., i] = dr @ dphi[:, :n]
         return L, R
 
     def boundary_blocks(self, view):
@@ -341,8 +356,11 @@ class _Sweep:
                 dg[row, col] = 1.0
         if not np.isfinite(dg).all():
             raise EvaluationError("non-finite boundary residual derivative")
-        C = dg[:, :n + 1] @ state_jacobian(self.zones[0][0], q0)[:, :n]
-        D = dg[:, n + 1:] @ state_jacobian(self.zones[-1][0], qm)[:, :n]
+        # at an identity end, d(u, t)/dq is the unit matrix's first n columns
+        C, D = [g[:, :n] if tr.is_identity
+                else g @ state_jacobian(tr, q)[:, :n]
+                for tr, g, q in ((self.zones[0][0], dg[:, :n + 1], q0),
+                                 (self.zones[-1][0], dg[:, n + 1:], qm))]
         return C, D
 
     def jacobian(self, view) -> StreamedJacobian:
@@ -363,7 +381,7 @@ class _Sweep:
         self.norm = np.inf
         view = self.zone_view(Q)
         r = self.residual_at(view)
-        norm = self.norm = float(np.max(np.abs(r)))
+        norm = self.norm = float(np.abs(r).max())
         if np.isnan(norm):
             raise EvaluationError("the residual at the initial iterate is NaN")
         iters = 0
@@ -386,7 +404,7 @@ class _Sweep:
                 try:
                     view = self.zone_view(trial)
                     r_new = self.residual_at(view)
-                    new_norm = float(np.max(np.abs(r_new)))
+                    new_norm = float(np.abs(r_new).max())
                 except (EvaluationError, SingularStepError):
                     new_norm = np.inf
                 if new_norm < norm:
@@ -402,6 +420,11 @@ class _Sweep:
             self.norm = norm
             iters += 1
         return EvolvingMesh(*self.states(Q), self.zones), iters, norm
+
+
+def _unmap(tr: Transform, q, tau):
+    """unmap_state(tr, q, tau), or (q, tau) themselves at the identity."""
+    return (q, tau) if tr.is_identity else unmap_state(tr, q, tau)
 
 
 def assemble_residual(problem: SegmentedProblem) -> np.ndarray:
@@ -428,6 +451,8 @@ def assemble_jacobian(problem: SegmentedProblem) -> BlockJacobian:
                          jac.C, jac.D)
 
 
+# overflow in the reduction is reported once the solve ends
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_linear_block(jac: BlockJacobian | StreamedJacobian,
                        rhs_int: np.ndarray,
                        rhs_bc: np.ndarray) -> np.ndarray:
@@ -459,18 +484,18 @@ def solve_linear_block(jac: BlockJacobian | StreamedJacobian,
     # every coarser level's rows [L | R | r], written over the previous
     # level's as they are formed; the inputs are only read
     coarse = np.empty((n, 2 * n + 1, (m + 1) // 2))
+    coarse_rows = partial(_coarse_rows, coarse, n)
     stride = 1
     levels = []
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while M > 1 and (M + 1) * n > _DENSE_TAIL:
-            levels.append(_reduce_level(rows, r, M, stride, coarse))
-            M = (M + 1) // 2
-            rows = partial(_coarse_rows, coarse, n)
-            r = coarse[:, 2 * n, :M]
-            stride *= 2
-        X = _dense_tail(*rows(0, M), r, jac.C, jac.D, rhs_bc, stride, m)
-        while levels:
-            X = _back_substitute(levels.pop(), X)
+    while M > 1 and (M + 1) * n > _DENSE_TAIL:
+        levels.append(_reduce_level(rows, r, M, stride, coarse))
+        M = (M + 1) // 2
+        rows = coarse_rows
+        r = coarse[:, 2 * n, :M]
+        stride *= 2
+    X = _dense_tail(*rows(0, M), r, jac.C, jac.D, rhs_bc, stride, m)
+    while levels:
+        X = _back_substitute(levels.pop(), X)
     if not np.isfinite(X).all():
         raise SingularLinearSystem("overflow in the block solve")
     return X
@@ -549,10 +574,12 @@ def _dense_tail(L: np.ndarray, R: np.ndarray, r: np.ndarray, C: np.ndarray,
     """Solve the last level's rows and the boundary rows as one dense
     system; returns the level's unknowns as an (M+1, n) array."""
     n, _, M = L.shape
-    J = BlockJacobian(L.transpose(2, 0, 1), R.transpose(2, 0, 1), C,
-                      D).todense()
+    J = _dense(L.transpose(2, 0, 1), R.transpose(2, 0, 1), C, D)
+    rhs = np.empty((M + 1, n))
+    rhs[:M] = r.T
+    rhs[M] = rhs_bc
     try:
-        X = np.linalg.solve(J, np.concatenate([r.T.ravel(), rhs_bc]))
+        X = np.linalg.solve(J, rhs.reshape(-1))
     except np.linalg.LinAlgError:
         # the smallest diagonal entry of R marks the column that lost rank
         col = int(np.argmin(np.abs(np.diag(np.linalg.qr(J, mode="r")))))
@@ -565,14 +592,14 @@ def _back_substitute(top: np.ndarray, Z: np.ndarray) -> np.ndarray:
     surviving unknown is copied, and each pair's y_mid solves its
     triangular top rows."""
     n, _, K = top.shape
-    X = np.empty((len(Z) + K, n))
+    X = np.empty((Z.shape[0] + K, n))
     # the survivors: every other unknown, and the last
     X[::2] = Z[:K + 1]
     X[-1] = Z[-1]
     Zt = Z.T
     sides = np.concatenate((Zt[:, :K], Zt[:, 1:K + 1]))
     y = top[:, 3 * n] - np.einsum("ijk,jk->ik", top[:, n:3 * n], sides)
-    for j in reversed(range(n)):
+    for j in range(n - 1, -1, -1):
         y[j] /= top[j, j]
         y[:j] -= top[:j, j] * y[j]
     X[1:2 * K:2] = y.T

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stiffbvp import (ConfigError, EvolvingMesh, MeshError, OdeSystem,
                       RefinementConfig, RefinementError, Transform,
                       init_linear, normalize, refine)
+from stiffbvp.mesh import _degenerate_mask
 from stiffbvp.transform import IDENTITY
 
 from conftest import intervals
@@ -142,6 +143,32 @@ def test_normalize_output_is_sorted_and_strict(interior):
     # idempotent
     again = normalize(out, merge_tol=1e-4)
     np.testing.assert_array_equal(again.T, out.T)
+
+
+# the knots' u1, which an SP1 zone's natural steps difference: they may
+# fall, repeat or be NaN, and 5e-324 steps halve to zero in np.median
+_TAUS = st.sampled_from([0.0, 1.0, -1.0, 2.0, 3.0, 5e-324, -5e-324, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TAUS, min_size=2, max_size=9))
+@example([0.0, -2.0, -1.0])         # steps -2, 1: the tie's median is -0.5
+@example([5e-324, 0.0, 0.0])        # steps -5e-324, 0: the median is -0.0
+def test_degenerate_mask_orientation_is_the_median_sign(taus):
+    # the zone's orientation is np.sign(np.median(steps)) or 1.0, however
+    # _degenerate_mask decides it; t rises, so only the orientation and
+    # NaN mark intervals
+    m = len(taus) - 1
+    U = np.column_stack([taus, np.ones(m + 1)])
+    mesh = EvolvingMesh(U, np.linspace(0.0, 1.0, m + 1),
+                        ((Transform(swap=1), 0, m),))
+    steps = mesh.natural_steps()
+    expected = steps * (np.sign(np.median(steps)) or 1.0) <= 0.0
+    bad = _degenerate_mask(mesh, 0.0)
+    if expected.any():
+        np.testing.assert_array_equal(bad, expected)
+    else:
+        assert bad is None
 
 
 # -- refine ---------------------------------------------------------------

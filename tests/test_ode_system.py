@@ -51,6 +51,21 @@ def test_batch_nonfinite_raises():
         eval_rhs_batch(system, np.array([[1.0], [0.0]]), np.array([0.0]))
 
 
+def test_nonfinite_jacobian_entry_says_where():
+    # the first bad state in the batch is 3, and its bad row is 2
+    def jac(u, t):
+        out = np.ones((2, 3) + np.shape(t))
+        out[1, 2, 3] = np.nan
+        out[0, 1, 5] = np.inf
+        return out
+
+    system = OdeSystem(2, lambda u, t: u, jac=jac)
+    with pytest.raises(EvaluationError,
+                       match="entry in row 2 at batch index 3") as exc:
+        eval_jacobian_batch(system, np.ones((2, 7)), np.zeros(7))
+    assert exc.value.component == 2
+
+
 def test_troesch_analytic_jacobian_at_origin():
     # d(lam*sinh(lam*u1))/du1 = lam**2*cosh(lam*u1) = 1 at lam=1, u1=0
     J = eval_jacobian_batch(troesch(1.0).system, np.zeros((2, 1)),

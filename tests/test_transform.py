@@ -282,6 +282,22 @@ def test_composed_system_evaluates_inner_rhs_once():
     assert calls == {"rhs": 2, "jac": 1}
 
 
+@pytest.mark.parametrize("label", ["SP1", "SP2", "FP2", "SP1.FP2"])
+def test_transformed_system_leaves_inner_arrays_unchanged(label):
+    # an inner system may return arrays it keeps: the transformed rhs and
+    # jac only read them
+    X, T = _troesch_states(6)
+    F = RNG.uniform(0.5, 2.0, size=(2, 6))
+    J = RNG.uniform(0.5, 2.0, size=(2, 3, 6))
+    F0, J0 = F.copy(), J.copy()
+    tsys = apply(Transform.parse(label),
+                 OdeSystem(2, lambda u, t: F, jac=lambda u, t: J))
+    tsys.rhs(X, T)
+    tsys.jac(X, T)
+    np.testing.assert_array_equal(F, F0)
+    np.testing.assert_array_equal(J, J0)
+
+
 def test_swap_jacobian_zero_denominator_raises():
     system = OdeSystem(2, lambda u, t: np.array([0.0, 1.0]),
                        jac=lambda u, t: np.zeros((2, 3)))

@@ -21,6 +21,8 @@ from stiffbvp import (BoundaryConditions, ConfigError, EvaluationError,
                       solve_spec, troesch, uniform_mesh)
 from stiffbvp import trapezoid
 from stiffbvp.mesh import init_linear
+from stiffbvp.ode_system import central_differences
+from stiffbvp.transform import state_jacobian, unmap_state
 from stiffbvp.trapezoid import BlockJacobian, _Sweep
 
 from conftest import ENERGY_REFS, intervals, zones_of
@@ -268,6 +270,22 @@ def test_zero_natural_step_at_switch_raises():
         with pytest.raises(SingularStepError,
                            match=rf"zero natural step on interval {s}$"):
             evaluate(problem)
+
+
+def test_switch_from_identity_zone_matches_general_chain_rule():
+    # the I zone's state Jacobian, the unit matrix, is left out of the
+    # switch's chain rule; a unit transform that does not say it is the
+    # identity puts it back
+    problem = _three_zone_problem()
+    sweep = _Sweep(problem)
+    view = sweep.zone_view(sweep.Q0)
+    assert view[0].tr.is_identity
+    unit = Transform()
+    object.__setattr__(unit, "is_identity", False)
+    general = [view[0]._replace(tr=unit)] + view[1:]
+    for got, want in zip(sweep.block_rows(view, 0, sweep.m),
+                         sweep.block_rows(general, 0, sweep.m)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_jacobian_independent_of_chunking(monkeypatch):
@@ -539,6 +557,39 @@ def test_residual_reads_fixed_ends(troesch3, transform):
                                            mesh, troesch3.domain))
         for mesh in (off, exact))
     np.testing.assert_array_equal(r_off, r_exact)
+
+
+@pytest.mark.parametrize("problem", [
+    pytest.param(lambda spec: _three_zone_problem(), id="I-to-SP1.FP2"),
+    pytest.param(lambda spec: SegmentedProblem(
+        spec.system, spec.bc, _off_end_mesh(), spec.domain), id="I"),
+    pytest.param(lambda spec: SegmentedProblem(
+        spec.system, spec.bc, _off_end_mesh(Transform(swap=1)),
+        spec.domain), id="SP1")])
+def test_end_rows_follow_the_chain_rule(troesch3, problem):
+    # end_states and boundary_blocks skip the maps at an identity end; the
+    # maps and the chain rule, written out, give the same bits
+    problem = problem(troesch3)
+    sweep = _Sweep(problem)
+    view = sweep.zone_view(sweep.Q0)
+    n = sweep.n
+    (tr_a, _, _), (tr_b, _, _) = sweep.zones[0], sweep.zones[-1]
+    q0, qm = view[0].q[:, 0], view[-1].q[:, -1]
+    u_a, t_a = unmap_state(tr_a, q0, sweep.tau[0])
+    u_b, t_b = unmap_state(tr_b, qm, sweep.tau[-1])
+    for got, want in zip(sweep.end_states(q0, qm), (u_a, t_a, u_b, t_b)):
+        assert np.array_equal(got, want)
+    dg = np.zeros((n, 2 * n + 2))
+    du = central_differences(lambda w: problem.bc.residual(w[:n], w[n:]),
+                             np.concatenate([u_a, u_b]))
+    dg[:, :n], dg[:, n + 1:-1] = du[:, :n], du[:, n:]
+    for row, col in ((sweep.sub_left, n), (sweep.sub_right, -1)):
+        if row is not None:
+            dg[row] = 0.0
+            dg[row, col] = 1.0
+    C, D = sweep.boundary_blocks(view)
+    assert np.array_equal(C, dg[:, :n + 1] @ state_jacobian(tr_a, q0)[:, :n])
+    assert np.array_equal(D, dg[:, n + 1:] @ state_jacobian(tr_b, qm)[:, :n])
 
 
 # -- Newton solver --------------------------------------------------------
