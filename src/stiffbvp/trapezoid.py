@@ -34,6 +34,9 @@ from .transform import (Transform, apply, map_state, state_jacobian,
 # at a time, so that the first level's batch is one batch of Jacobian
 # rows; bounds a Newton step's temporaries and keeps a batch in cache
 _CHUNK = 2048
+# levels of cyclic reduction per tier: a tier reduces blocks of
+# _CHUNK << _TIER of its first level's rows through all its levels
+_TIER = 3
 # cyclic reduction stops once at most this many unknowns are left
 _DENSE_TAIL = 64
 
@@ -244,10 +247,11 @@ class _Sweep:
                 q[:, 0], tau[0] = head[0], head[1]
             yield k, lo, hi, q, tau
 
-    def residual_at(self, view) -> np.ndarray:
+    def residual_at(self, view, ends=None) -> np.ndarray:
         """Residual vector at a zone view: the m*n interval rows, written
         2*_CHUNK intervals at a time from one rhs evaluation per zone and
-        batch, then the n boundary rows."""
+        batch, then the n boundary rows at the view's end_states, which
+        are unmapped here unless given as ``ends``."""
         n, m = self.n, self.m
         out = np.empty((m + 1) * n)
         rows = out[:m * n].reshape(m, n).T
@@ -260,17 +264,19 @@ class _Sweep:
                 mean = f[:, :-1] + f[:, 1:]
                 mean *= 0.5
                 r -= mean
-        out[m * n:] = self.bc_residual(view[0].q[:, 0], view[-1].q[:, -1])
+        out[m * n:] = self.boundary_residual(
+            *(self.end_states(view) if ends is None else ends))
         return out
 
     def residual(self, Q: np.ndarray) -> np.ndarray:
         """Residual vector at the iterate Q."""
         return self.residual_at(self.zone_view(Q))
 
-    def end_states(self, q0: np.ndarray, qm: np.ndarray):
-        """Original-variable end states (u_a, t_a, u_b, t_b)."""
-        u_a, t_a = _unmap(self.zones[0][0], q0, self.tau[0])
-        u_b, t_b = _unmap(self.zones[-1][0], qm, self.tau[-1])
+    def end_states(self, view):
+        """Original-variable end states (u_a, t_a, u_b, t_b) at a zone
+        view."""
+        u_a, t_a = _unmap(self.zones[0][0], view[0].q[:, 0], self.tau[0])
+        u_b, t_b = _unmap(self.zones[-1][0], view[-1].q[:, -1], self.tau[-1])
         return u_a, t_a, u_b, t_b
 
     def boundary_residual(self, u_a, t_a, u_b, t_b) -> np.ndarray:
@@ -289,9 +295,6 @@ class _Sweep:
         if not np.isfinite(g).all():
             raise EvaluationError("non-finite boundary residual")
         return g
-
-    def bc_residual(self, q0: np.ndarray, qm: np.ndarray) -> np.ndarray:
-        return self.boundary_residual(*self.end_states(q0, qm))
 
     # -- Jacobian ---------------------------------------------------------
 
@@ -334,15 +337,16 @@ class _Sweep:
                 L[..., i] = dr @ dphi[:, :n]
         return L, R
 
-    def boundary_blocks(self, view):
+    def boundary_blocks(self, view, ends=None):
         """C and D of the boundary rows at a zone view: C = dg/d(u_a, t_a)
         @ d(u_a, t_a)/dq_0, and D likewise at knot m.  g reads only the
         end states' u, so central differences of g run over (u_a, u_b),
         and its t columns are zero; a pinned row, t - a (or t - b), is set
-        exactly."""
+        exactly.  ``ends`` are the view's end_states, unmapped here unless
+        given."""
         n = self.n
         q0, qm = view[0].q[:, 0], view[-1].q[:, -1]
-        u_a, _, u_b, _ = self.end_states(q0, qm)
+        u_a, _, u_b, _ = self.end_states(view) if ends is None else ends
         # a non-finite g or difference is reported below
         with np.errstate(over="ignore", invalid="ignore"):
             du = central_differences(lambda w: self.bc.residual(w[:n], w[n:]),
@@ -363,11 +367,11 @@ class _Sweep:
                                  (self.zones[-1][0], dg[:, n + 1:], qm))]
         return C, D
 
-    def jacobian(self, view) -> StreamedJacobian:
+    def jacobian(self, view, ends=None) -> StreamedJacobian:
         """The Newton matrix at a zone view, its interval rows evaluated
-        when a solve reads them."""
+        when a solve reads them; ``ends`` as for boundary_blocks."""
         return StreamedJacobian(partial(self.block_rows, view),
-                                *self.boundary_blocks(view))
+                                *self.boundary_blocks(view, ends))
 
     # -- Newton iteration -------------------------------------------------
 
@@ -380,7 +384,8 @@ class _Sweep:
         # the residual of last_Q; inf until the first one is evaluated
         self.norm = np.inf
         view = self.zone_view(Q)
-        r = self.residual_at(view)
+        ends = self.end_states(view)
+        r = self.residual_at(view, ends)
         norm = self.norm = float(np.abs(r).max())
         if np.isnan(norm):
             raise EvaluationError("the residual at the initial iterate is NaN")
@@ -392,7 +397,7 @@ class _Sweep:
                     f"residual {norm:.3e} after {iters} Newton steps")
             # J dQ = -r is solved as J x = r, and x negated, which is exact;
             # the solve evaluates J's interval rows as it reads them
-            dQ = solve_linear_block(self.jacobian(view),
+            dQ = solve_linear_block(self.jacobian(view, ends),
                                     r[:mn].reshape(self.m, self.n), r[mn:])
             np.negative(dQ, out=dQ)
             trial = np.empty_like(Q)
@@ -403,7 +408,8 @@ class _Sweep:
                 trial += Q
                 try:
                     view = self.zone_view(trial)
-                    r_new = self.residual_at(view)
+                    ends = self.end_states(view)
+                    r_new = self.residual_at(view, ends)
                     new_norm = float(np.abs(r_new).max())
                 except (EvaluationError, SingularStepError):
                     new_norm = np.inf
@@ -413,7 +419,8 @@ class _Sweep:
                 if s < MIN_DAMPING:
                     raise NonConvergence(
                         f"line search stalled at residual {norm:.3e}")
-            # the accepted trial, its view and residual are the next step's
+            # the accepted trial, its view, end states and residual are the
+            # next step's
             Q = self.last_Q = trial
             del dQ      # let the next step's solve reuse its memory
             r, norm = r_new, new_norm
@@ -472,28 +479,68 @@ def solve_linear_block(jac: BlockJacobian | StreamedJacobian,
     back-substitution runs down the levels.  Returns the solution as an
     (m+1, n) array.
 
+    While a level has more rows than one block, _CHUNK << _TIER, the
+    levels run in tiers of _TIER: a tier takes each block of its first
+    level's rows down all its levels in a block-sized buffer, so for the
+    whole mesh only its last level's rows, one per 2**_TIER rows of its
+    first, are held.  The levels of at most one block's rows follow one
+    after another, in place.  Either order reflects the same pairs,
+    _CHUNK at a time, so it changes no result.
+
     ``jac`` is a BlockJacobian or a StreamedJacobian, read only: the first
     level reads the blocks through ``jac.rows``, _CHUNK pairs of rows at a
     time, so streamed rows are never all held at once.
     """
     m, n = rhs_int.shape
+    # the levels' row counts, then the rows left for the dense tail
+    sizes = [m]
+    while sizes[-1] > 1 and (sizes[-1] + 1) * n > _DENSE_TAIL:
+        sizes.append((sizes[-1] + 1) // 2)
+    depth = len(sizes) - 1
     # a level's M rows L[..., i] y_i + R[..., i] y_{i+1} = r[:, i], with
     # (L, R) = rows(a, b) for rows a..b-1; its unknown y_i is x at knot
-    # i * stride, except the last, which is x_m
-    rows, r, M = jac.rows, rhs_int.T, m
-    # every coarser level's rows [L | R | r], written over the previous
-    # level's as they are formed; the inputs are only read
-    coarse = np.empty((n, 2 * n + 1, (m + 1) // 2))
+    # i * 2**k on level k, except the last, which is x_m
+    rows, r = jac.rows, rhs_int.T
+    # coarser levels' rows [L | R | r]: for the whole mesh, those of each
+    # tier's last level, or of every level once one block holds them,
+    # written over the previous ones as they are formed; and a block's
+    # rows within a tier.  The inputs are only read.
+    W = _CHUNK << _TIER
+    blocked = m > W
+    coarse = np.empty((n, 2 * n + 1, sizes[min(_TIER, depth)] if blocked
+                       else (m + 1) // 2))
+    block = np.empty((n, 2 * n + 1, W // 2)) if blocked and depth > 1 else None
     coarse_rows = partial(_coarse_rows, coarse, n)
-    stride = 1
+    # each level's top rows (see _reduce_level)
     levels = []
-    while M > 1 and (M + 1) * n > _DENSE_TAIL:
-        levels.append(_reduce_level(rows, r, M, stride, coarse))
-        M = (M + 1) // 2
-        rows = coarse_rows
-        r = coarse[:, 2 * n, :M]
-        stride *= 2
-    X = _dense_tail(*rows(0, M), r, jac.C, jac.D, rhs_bc, stride, m)
+    k = 0
+    while k < depth and sizes[k] > W:
+        # a tier of levels k..k+d-1 over blocks of W rows of level k
+        d = min(_TIER, depth - k)
+        levels += [np.empty((n, 3 * n + 1, M // 2)) for M in sizes[k:k + d]]
+        for a in range(0, sizes[k], W):
+            # rows a.. of level k reduce to rows a >> j.. of level k+j,
+            # through the block buffer and last into coarse, whose rows
+            # a >> d.. are written after this block's rows of level k
+            # are read (with d = 1, as _reduce_level writes in place)
+            src, rb = partial(_offset_rows, rows, a), r[:, a:a + W]
+            M = min(W, sizes[k] - a)
+            for j in range(d):
+                dst = coarse[..., a >> d:] if j == d - 1 else block
+                _reduce_level(src, rb, M, 1 << (k + j), dst,
+                              levels[k + j][..., a >> (j + 1):], a >> j)
+                M = (M + 1) // 2
+                src, rb = partial(_coarse_rows, dst, n), dst[:, 2 * n, :M]
+        k += d
+        rows, r = coarse_rows, coarse[:, 2 * n, :sizes[k]]
+    # the levels of at most one block's rows, each in place in coarse
+    while k < depth:
+        levels.append(np.empty((n, 3 * n + 1, sizes[k] // 2)))
+        _reduce_level(rows, r, sizes[k], 1 << k, coarse, levels[k])
+        k += 1
+        rows, r = coarse_rows, coarse[:, 2 * n, :sizes[k]]
+    X = _dense_tail(*rows(0, sizes[-1]), r, jac.C, jac.D, rhs_bc,
+                    1 << depth, m)
     while levels:
         X = _back_substitute(levels.pop(), X)
     if not np.isfinite(X).all():
@@ -509,29 +556,35 @@ def _singular(knot: int) -> SingularLinearSystem:
                                 pivot=interval)
 
 
+def _offset_rows(rows: Callable, a: int, i: int, j: int):
+    """rows(a + i, a + j): the rows of a block that starts at row a."""
+    return rows(a + i, a + j)
+
+
 def _coarse_rows(coarse: np.ndarray, n: int, a: int, b: int):
     """Blocks of rows a..b-1 of a coarse level stored as [L | R | r]."""
     return coarse[:, :n, a:b], coarse[:, n:2 * n, a:b]
 
 
 def _reduce_level(rows: Callable, r: np.ndarray, M: int, stride: int,
-                  coarse: np.ndarray) -> np.ndarray:
+                  coarse: np.ndarray, top: np.ndarray,
+                  first: int = 0) -> None:
     """One level of cyclic reduction over M rows, stored along the last
     axis: rows(a, b) gives the blocks L and R of rows a..b-1, each of shape
-    (n, n, b-a), and r has shape (n, M).
+    (n, n, b-a), and r has shape (n, M).  The rows are those of a block
+    whose row 0 is row ``first`` of its level, which names a singular pair.
 
-    Returns the pairs' top rows, shape (n, 3n+1, M // 2), with columns
+    The pairs' top rows go to top[..., :M // 2], with columns
     [y_mid | y_left | y_right | rhs] and the y_mid block upper triangular.
     The coarser level's rows [L | R | r] go to coarse[..., :M // 2 + M % 2];
     the last is the odd last row, read with the last batch's pairs and
-    carried up unchanged.  The rows may be views of coarse: a batch's pairs
-    are read before its rows are written, and no later batch reads a row
-    an earlier one wrote.
+    carried up unchanged (a lone row is a batch of no pairs).  The rows may
+    be views of coarse: a batch's pairs are read before its rows are
+    written, and no later batch reads a row an earlier one wrote.
     """
     n = len(r)
     K = M // 2
-    top = np.empty((n, 3 * n + 1, K))
-    for s in range(0, K, _CHUNK):
+    for s in range(0, max(K, 1), _CHUNK):
         e = min(s + _CHUNK, K)
         odd_last = e == K and M % 2
         L, R = rows(2 * s, 2 * e + odd_last)
@@ -552,7 +605,8 @@ def _reduce_level(rows: Callable, r: np.ndarray, M: int, stride: int,
             v = P[j:, j].copy()
             norm = np.sqrt(np.add.reduce(v * v))
             if np.count_nonzero(norm) < len(norm):
-                raise _singular((2 * (s + int(np.argmin(norm))) + 1) * stride)
+                pair = s + int(np.argmin(norm))
+                raise _singular((first + 2 * pair + 1) * stride)
             minus_alpha = np.copysign(norm, v[0])
             v[0] += minus_alpha
             S = P[j:, j:]
@@ -565,7 +619,6 @@ def _reduce_level(rows: Callable, r: np.ndarray, M: int, stride: int,
             coarse[:, :n, K] = L[..., -1]
             coarse[:, n:2 * n, K] = R[..., -1]
             coarse[:, 2 * n, K] = r[:, M - 1]
-    return top
 
 
 def _dense_tail(L: np.ndarray, R: np.ndarray, r: np.ndarray, C: np.ndarray,

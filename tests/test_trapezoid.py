@@ -187,7 +187,7 @@ def test_jacobian_work_count(monkeypatch):
     # from residual passes; the boundary rows from central differences of
     # the user's g over the 2n end coordinates it reads, two calls each
     spec = troesch(6.0)
-    calls = {"jac": 0, "residual": 0, "bc_residual": 0, "g": 0}
+    calls = {"jac": 0, "residual": 0, "boundary_residual": 0, "g": 0}
 
     def jac(u, t):
         calls["jac"] += 1
@@ -201,26 +201,44 @@ def test_jacobian_work_count(monkeypatch):
     problem = _three_zone_problem(counted)
     problem.bc = BoundaryConditions(g, spec.bc.pins)
     residual_at = _Sweep.residual_at
-    bc_residual = _Sweep.bc_residual
+    boundary_residual = _Sweep.boundary_residual
 
     def counted_residual_at(self, view):
         calls["residual"] += 1
         return residual_at(self, view)
 
-    def counted_bc_residual(self, q0, qm):
-        calls["bc_residual"] += 1
-        return bc_residual(self, q0, qm)
+    def counted_boundary_residual(self, *ends):
+        calls["boundary_residual"] += 1
+        return boundary_residual(self, *ends)
 
     monkeypatch.setattr(_Sweep, "residual_at", counted_residual_at)
-    monkeypatch.setattr(_Sweep, "bc_residual", counted_bc_residual)
+    monkeypatch.setattr(_Sweep, "boundary_residual",
+                        counted_boundary_residual)
     # batches of 4 intervals, 0..3, 4..7 and 8..9, meet the zones'
     # intervals 0..3, 4..6 and 7..9 in 4 pieces
     monkeypatch.setattr(trapezoid, "_CHUNK", 2)
     assemble_jacobian(problem)
     assert calls["residual"] == 0
     assert calls["jac"] == 4
-    assert calls["bc_residual"] == 0
+    assert calls["boundary_residual"] == 0
     assert calls["g"] == 4 * problem.mesh.n
+
+
+def test_newton_step_unmaps_the_ends_once(monkeypatch):
+    # the boundary blocks reuse the end states that the accepted trial's
+    # residual unmapped: one end_states call per zone view, none more
+    # the iterate converged at lam = 6 starts the lam = 6.5 sweep
+    problem = _three_zone_problem()
+    problem.system = troesch(6.5).system
+    calls = {"zone_view": 0, "end_states": 0}
+    for name in calls:
+        def counted(self, view, name=name, method=getattr(_Sweep, name)):
+            calls[name] += 1
+            return method(self, view)
+        monkeypatch.setattr(_Sweep, name, counted)
+    _, iters, _ = _Sweep(problem).run(NewtonConfig())
+    assert iters >= 2
+    assert calls["end_states"] == calls["zone_view"]
 
 
 def test_non_finite_boundary_derivative_is_evaluation_error(troesch3):
@@ -445,6 +463,99 @@ def test_block_solve_singular_block_at_reduced_level(m, knot):
     assert exc.value.pivot == knot - 1
 
 
+def _block_rows(chunk):
+    """Rows of a tier's first level per block at _CHUNK = chunk."""
+    return chunk << trapezoid._TIER
+
+
+def _solve_at_chunk(chunk, jac, rhs_int, rhs_bc):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trapezoid, "_CHUNK", chunk)
+        return solve_linear_block(jac, rhs_int, rhs_bc)
+
+
+# with a small _CHUNK, a mesh of up to 2W+1 rows spans up to three blocks
+# of W rows, which the default-chunk solve reduces as one: the same pairs
+# are reflected either way, so the solutions agree bit for bit
+@pytest.mark.parametrize("chunk", [1, 2, 4, 6])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_solve_independent_of_block_size(chunk, n):
+    W = _block_rows(chunk)
+    for m in (W - 1, W, W + 1, 2 * W + 1):
+        rng = np.random.default_rng(100 * m + n)
+        jac = _random_block_system(rng, m, n)
+        rhs = rng.uniform(-1, 1, size=(m, n)), rng.uniform(-1, 1, size=n)
+        whole = solve_linear_block(jac, *rhs)
+        assert np.array_equal(_solve_at_chunk(chunk, jac, *rhs), whole)
+
+
+# the last block has r rows: one, alone at the first level (r = 1), the
+# second (r = 2) or the third (r = 3, 4); with _CHUNK = 1, m = 8W + 1
+# also runs a second tier over 65 rows, a block's buffer in both tiers
+@pytest.mark.parametrize("chunk, m", [(2, 129), (2, 130), (2, 131),
+                                      (2, 132), (1, 513)])
+def test_block_solve_carries_a_lone_last_row(chunk, m):
+    n = 2
+    rng = np.random.default_rng(m)
+    jac = _random_block_system(rng, m, n)
+    rhs = rng.uniform(-1, 1, size=(m, n)), rng.uniform(-1, 1, size=n)
+    whole = solve_linear_block(jac, *rhs)
+    np.testing.assert_allclose(_block_product(jac, whole),
+                               np.concatenate([rhs[0].ravel(), rhs[1]]),
+                               rtol=0, atol=1e-10)
+    assert np.array_equal(_solve_at_chunk(chunk, jac, *rhs), whole)
+
+
+def test_block_solve_one_row_past_a_block():
+    # at the default _CHUNK the 16,385th row is a block of its own; the
+    # solution agrees with one block of 32,768 rows
+    m, n = _block_rows(trapezoid._CHUNK) + 1, 2
+    rng = np.random.default_rng(5)
+    jac = _random_block_system(rng, m, n)
+    rhs = rng.uniform(-1, 1, size=(m, n)), rng.uniform(-1, 1, size=n)
+    X = solve_linear_block(jac, *rhs)
+    assert np.array_equal(_solve_at_chunk(2 * trapezoid._CHUNK, jac, *rhs), X)
+    np.testing.assert_allclose(_block_product(jac, X),
+                               np.concatenate([rhs[0].ravel(), rhs[1]]),
+                               rtol=0, atol=1e-10)
+
+
+# blocks of 16 rows at _CHUNK = 2: knot 41, in the third block, is
+# eliminated at the first level, 42 at the second, 44 at the third, and
+# 121 in the last full block at the first
+@pytest.mark.parametrize("knot", [41, 42, 44, 121])
+def test_block_solve_singular_pair_in_later_block(monkeypatch, knot):
+    m, n = 129, 2
+    jac = _random_block_system(np.random.default_rng(knot), m, n)
+    jac.B[knot - 1] = 0.0
+    jac.A[knot] = 0.0
+    for chunk in (trapezoid._CHUNK, 2):
+        monkeypatch.setattr(trapezoid, "_CHUNK", chunk)
+        with pytest.raises(SingularLinearSystem,
+                           match=f"singular interval block {knot - 1}$"
+                           ) as exc:
+            solve_linear_block(jac, np.ones((m, n)), np.ones(n))
+        assert exc.value.pivot == knot - 1
+
+
+def test_block_solve_memory():
+    # the solve holds every level's top rows, 112 bytes per interval at
+    # n = 2, and for the whole mesh only each tier's last-level rows, one
+    # in 8: measured 133 bytes per interval, against 158 when the first
+    # level's coarse rows, one per pair, were held
+    m, n = 150_000, 2
+    rng = np.random.default_rng(0)
+    jac = _random_block_system(rng, m, n)
+    rhs = rng.uniform(-1, 1, size=(m, n)), rng.uniform(-1, 1, size=n)
+    tracemalloc.start()
+    try:
+        solve_linear_block(jac, *rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / m <= 145
+
+
 def _backward_error(jac, seed=0):
     """||J x - b|| / (||J|| ||x|| + ||b||) in the max norm, for the solve
     of b = J x_true with x_true ~ N(0, 1)."""
@@ -577,7 +688,7 @@ def test_end_rows_follow_the_chain_rule(troesch3, problem):
     q0, qm = view[0].q[:, 0], view[-1].q[:, -1]
     u_a, t_a = unmap_state(tr_a, q0, sweep.tau[0])
     u_b, t_b = unmap_state(tr_b, qm, sweep.tau[-1])
-    for got, want in zip(sweep.end_states(q0, qm), (u_a, t_a, u_b, t_b)):
+    for got, want in zip(sweep.end_states(view), (u_a, t_a, u_b, t_b)):
         assert np.array_equal(got, want)
     dg = np.zeros((n, 2 * n + 2))
     du = central_differences(lambda w: problem.bc.residual(w[:n], w[n:]),
@@ -681,15 +792,16 @@ def _large_three_zone_problem(knots, lam=6.0):
 
 
 def test_sweep_memory_budget():
-    # a Newton step holds the iterate, its residual, the cyclic reduction's
-    # top rows and one coarse-row buffer, and the Jacobian's rows only one
-    # batch at a time: measured 201 bytes per knot, against 265 when the
-    # step held its whole blocks and 392 when it also kept the previous
-    # step's blocks, a whole-zone Jacobian and a coarse array per level
+    # a sweep holds the taus and the iterate from its construction on; a
+    # Newton step adds its residual, the cyclic reduction's top rows and
+    # whole-mesh coarse rows for one pair in 8, and the Jacobian's rows
+    # only one batch at a time: measured 200 bytes per knot, against 209
+    # when the coarse rows of every pair were held
     knots = 50_000
-    sweep = _Sweep(_large_three_zone_problem(knots))
+    problem = _large_three_zone_problem(knots)
     tracemalloc.start()
     try:
+        sweep = _Sweep(problem)
         _, iters, norm = sweep.run(NewtonConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
