@@ -8,9 +8,10 @@ stiffness of boundary-layer problems such as Troesch's equation.
 """
 
 from .bench import (ContinuationOracle, SrnConfig, SrnResult, StopCriterion,
-                    endpoint_derivatives, error_curve, export_solution,
-                    import_solution, run_continuation, solve_spec,
-                    uniform_mesh, write_error_curve, write_srn_result)
+                    deep_layer, endpoint_derivatives, error_curve,
+                    export_solution, import_solution, run_continuation,
+                    solve_spec, uniform_mesh, write_error_curve,
+                    write_srn_result)
 from .errors import (ColdStartFailure, ConfigError, EvaluationError,
                      MeshError, NonConvergence, NonStationaryBoundary,
                      RefinementError, SingularLinearSystem, SingularStepError,

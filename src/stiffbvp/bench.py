@@ -1,10 +1,13 @@
-"""Benchmark protocols: lambda-continuation, error curves, CSV export.
+"""Benchmark protocols: lambda-continuation, error curves, the deep
+layer, CSV export.
 
 The continuation protocol measures how far a given configuration can be
 pushed in the stiffness parameter: starting from lambda0, each solve warm
 starts from the previous solution and lambda grows by a fixed increment
 until a stop criterion fires.  The last successful lambda is the
-configuration's stiffness resistance number (SRN).
+configuration's stiffness resistance number (SRN).  The deep-layer
+protocol continues Troesch's problem on a coarse three-zone mesh and
+finishes with one warm-started solve at a fixed fine step.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import ColdStartFailure, ConfigError, StiffBvpError
 from .mesh import EvolvingMesh, RefinementConfig, init_linear, merge_runs
-from .problems import ProblemSpec, reference_lookup
+from .problems import ProblemSpec, reference_lookup, troesch
 from .strategy import (IdentityStrategy, SteepGrowthZoneStrategy,
                        TransformStrategy)
 from .transform import Transform
@@ -235,6 +238,32 @@ def run_continuation(family: Callable[[float], ProblemSpec],
     return SrnResult(srn=srn, stop_reason=reason, per_lambda=rows)
 
 
+def deep_layer(lam: float, h_fine: float = 1.76e-4,
+               progress: bool = False) -> Solution:
+    """Troesch's problem at lam through its boundary layer: unit-step
+    continuation from min(3, lam) with the three-zone strategy on a coarse
+    adaptive mesh (natural steps 1e-3 to 1e-2, cold start h0 = 0.01), the
+    last step partial for a non-integer lam, then one warm-started solve
+    at the fixed natural step h_fine.  A bad lam or h_fine raises
+    ConfigError before any solve."""
+    fine = RefinementConfig(M=0.1, h_min=h_fine, h_max=h_fine)
+    spec = troesch(lam)
+    strategy = SteepGrowthZoneStrategy()
+    newton = NewtonConfig()
+    coarse = RefinementConfig(M=0.1, h_min=1e-3, h_max=1e-2)
+    cur = min(3.0, lam)
+    start = troesch(cur)
+    sol = solve_spec(start, uniform_mesh(start, 0.01), strategy, newton,
+                     coarse)
+    while cur < lam:
+        cur = min(cur + 1.0, lam)
+        if progress:
+            print(f"continuation lambda={cur:g} ({sol.mesh.knot_count} "
+                  "knots)", file=sys.stderr)
+        sol = solve_spec(troesch(cur), sol.mesh, strategy, newton, coarse)
+    return solve_spec(spec, sol.mesh, strategy, newton, fine)
+
+
 def error_curve(family: Callable[[float], ProblemSpec],
                 lambdas: Sequence[float],
                 strategy: Optional[TransformStrategy] = None,
@@ -328,7 +357,8 @@ def export_solution(solution: Solution, path):
 def import_solution(path) -> EvolvingMesh:
     """Inverse of export_solution (bit-exact at 64-bit).  A malformed file,
     including a non-finite value or a decreasing t, raises ConfigError
-    naming its line."""
+    naming the file and its line; one with fewer than 2 knots, naming the
+    file and the knot count."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         n = len(next(reader, [])) - 2
@@ -351,5 +381,8 @@ def import_solution(path) -> EvolvingMesh:
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}: line {reader.line_num}: {exc}") from exc
+    if len(T_vals) < 2:
+        raise ConfigError(f"{path}: knot count {len(T_vals)}, a solution "
+                          "needs at least 2")
     zones = merge_runs((tr, i, i + 1) for i, tr in enumerate(transforms[:-1]))
     return EvolvingMesh(np.array(U_rows), np.array(T_vals), zones)

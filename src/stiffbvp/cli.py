@@ -4,6 +4,8 @@ Subcommands:
   solve   solve one problem instance and export the solution CSV
   srn     run lambda-continuation and report the stiffness resistance number
   errors  compute relative-error curves over a list of lambda values
+  deep    continue Troesch's problem through its deep boundary layer,
+          then solve once at a fixed fine step, and export the solution
 
 Options may also come from a key=value config file (--config); explicit
 flags win.  Progress goes to stderr, data only to files.  Exit codes:
@@ -15,12 +17,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import (SrnConfig, StopCriterion, error_curve, export_solution,
+from .bench import (SrnConfig, StopCriterion, deep_layer,
+                    endpoint_derivatives, error_curve, export_solution,
                     run_continuation, solve_spec, uniform_mesh,
                     write_error_curve, write_srn_result)
 from .errors import ConfigError, StiffBvpError
 from .mesh import RefinementConfig
-from .problems import problem_by_name, troesch
+from .problems import problem_by_name, troesch, troesch_endpoints
 from .strategy import STRATEGIES, strategy_by_name
 from .trapezoid import NewtonConfig
 
@@ -32,7 +35,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "transformations")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def io_flags(p):
+        p.add_argument("--config", default=None,
+                       help="key=value file; flags override")
+        p.add_argument("--out", default=None, help="output CSV path")
+        p.add_argument("--quiet", action="store_true")
+
     def common(p):
+        io_flags(p)
         p.add_argument("--problem", default="troesch")
         p.add_argument("--strategy", default="identity",
                        choices=list(STRATEGIES))
@@ -42,10 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--h0", type=float, default=0.1,
                        help="cold-start uniform step")
-        p.add_argument("--config", default=None,
-                       help="key=value file; flags override")
-        p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--quiet", action="store_true")
 
     p_solve = sub.add_parser("solve", help="solve a single instance")
     common(p_solve)
@@ -63,6 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_err)
     p_err.add_argument("--lambdas", default="2,3,4,5",
                        help="comma-separated lambda list")
+
+    p_deep = sub.add_parser("deep", help="deep three-zone boundary layer")
+    io_flags(p_deep)
+    p_deep.add_argument("--lambda", dest="lam", type=float, default=50.0)
+    p_deep.add_argument("--h-fine", type=float, default=1.76e-4,
+                        help="natural step of the final solve")
     return parser
 
 
@@ -163,6 +175,20 @@ def _cmd_errors(args) -> int:
     return 0
 
 
+def _cmd_deep(args) -> int:
+    sol = deep_layer(args.lam, args.h_fine, progress=not args.quiet)
+    if not args.quiet:
+        d0, d1 = endpoint_derivatives(sol)
+        ref0 = troesch_endpoints(args.lam)[0]
+        print(f"lambda={args.lam:g}: {sol.mesh.knot_count} knots, "
+              f"u2(0)={d0:.9e}, u2(1)={d1:.9e}", file=sys.stderr)
+        print(f"reference u2(0)={ref0:.9e}, "
+              f"rel err {abs(d0 - ref0) / ref0:.3e}", file=sys.stderr)
+    if args.out:
+        export_solution(sol, args.out)
+    return 0
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -179,6 +205,8 @@ def main(argv=None) -> int:
             return _cmd_solve(args)
         if args.command == "srn":
             return _cmd_srn(args)
+        if args.command == "deep":
+            return _cmd_deep(args)
         return _cmd_errors(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -15,8 +15,9 @@ import numpy as np
 from stiffbvp import (GrowthZoneStrategy, IdentityStrategy, NewtonConfig,
                       RefinementConfig, SegmentedProblem, SrnConfig,
                       SteepGrowthZoneStrategy, StopCriterion, Transform,
-                      apply, assemble_jacobian, linear_verification,
-                      run_continuation, solve_spec, troesch, uniform_mesh)
+                      apply, assemble_jacobian, deep_layer,
+                      linear_verification, run_continuation, solve_spec,
+                      troesch, uniform_mesh)
 from stiffbvp.mesh import normalize, refine
 from stiffbvp.trapezoid import _Sweep
 
@@ -125,17 +126,7 @@ def test_criterion_5_adaptive_two_zone_continuation():
 
 def test_criterion_6_three_zone_deep_layer():
     t0 = time.time()
-    strat = SteepGrowthZoneStrategy()
-    newton = NewtonConfig()
-    coarse = RefinementConfig(M=0.1, h_min=1e-3, h_max=1e-2)
-    spec = troesch(3.0)
-    sol = solve_spec(spec, uniform_mesh(spec, 0.01), strat, newton, coarse)
-    for lam in range(4, 51):
-        spec = troesch(float(lam))
-        sol = solve_spec(spec, sol.mesh, strat, newton, coarse)
-    h = 1.76e-4
-    fine = RefinementConfig(M=0.1, h_min=h, h_max=h)
-    sol = solve_spec(spec, sol.mesh, strat, newton, fine)
+    sol = deep_layer(50.0)
     e = rel_err(sol.mesh.U[0, 1], 1.542999878e-21)
     knots = sol.mesh.knot_count
     elapsed = time.time() - t0

@@ -10,10 +10,12 @@ import pytest
 from stiffbvp import (ColdStartFailure, ConfigError, ContinuationOracle,
                       EvolvingMesh, GrowthZoneStrategy, IdentityStrategy,
                       NewtonConfig, RefinementConfig, SrnConfig,
-                      StopCriterion, Transform, endpoint_derivatives,
-                      error_curve, export_solution, from_second_order,
-                      import_solution, run_continuation, solve_spec, troesch,
-                      uniform_mesh, write_error_curve, write_srn_result)
+                      StopCriterion, Transform, deep_layer,
+                      endpoint_derivatives, error_curve, export_solution,
+                      from_second_order, import_solution, run_continuation,
+                      solve_spec, troesch, troesch_endpoints, uniform_mesh,
+                      write_error_curve, write_srn_result)
+from stiffbvp import bench
 from stiffbvp.mesh import MAX_KNOTS
 
 from conftest import ENERGY_REFS, intervals, rel_err, zones_of
@@ -193,6 +195,53 @@ def test_error_curve_transformed_config():
     assert 3.57e-7 / 3 < e < 3.57e-7 * 3
 
 
+def test_deep_layer_fine_solve_spans_several_blocks():
+    # the fine solve's first reduction level holds more than two blocks
+    # of 16,384 rows, and u2(0) is still accurate
+    sol = deep_layer(10.0, 2e-4)
+    assert sol.mesh.knot_count > 2 * 16384
+    ref0 = troesch_endpoints(10.0)[0]
+    assert rel_err(endpoint_derivatives(sol)[0], ref0) < 1e-5
+
+
+def _record_solves(monkeypatch):
+    """(lambda, h_min) of every solve_spec call the bench module makes."""
+    calls = []
+
+    def recording(spec, mesh, strategy=None, newton=NewtonConfig(),
+                  rcfg=None):
+        calls.append((spec.system.params["lam"], rcfg.h_min))
+        return solve_spec(spec, mesh, strategy, newton, rcfg)
+
+    monkeypatch.setattr(bench, "solve_spec", recording)
+    return calls
+
+
+def test_deep_layer_below_three_solves_once_at_lambda(monkeypatch):
+    calls = _record_solves(monkeypatch)
+    deep_layer(2.0, 1e-2)
+    assert calls == [(2.0, 1e-3), (2.0, 1e-2)]
+
+
+def test_deep_layer_takes_a_partial_last_step(monkeypatch, capsys):
+    calls = _record_solves(monkeypatch)
+    deep_layer(4.5, 1e-2, progress=True)
+    assert calls == [(3.0, 1e-3), (4.0, 1e-3), (4.5, 1e-3), (4.5, 1e-2)]
+    lines = capsys.readouterr().err.splitlines()
+    assert [ln.split()[1] for ln in lines] == ["lambda=4", "lambda=4.5"]
+
+
+@pytest.mark.parametrize("lam, h_fine", [
+    (0.0, 1e-2), (math.nan, 1e-2), (math.inf, 1e-2),
+    (10.0, 0.0), (10.0, -1.0), (10.0, math.nan)])
+def test_deep_layer_rejects_bad_arguments_before_solving(monkeypatch, lam,
+                                                         h_fine):
+    calls = _record_solves(monkeypatch)
+    with pytest.raises(ConfigError):
+        deep_layer(lam, h_fine)
+    assert calls == []
+
+
 def test_solution_export_import_round_trip(tmp_path, troesch3):
     sol = solve_spec(troesch3, uniform_mesh(troesch3, 0.05),
                      IdentityStrategy())
@@ -209,22 +258,25 @@ def test_solution_export_import_round_trip(tmp_path, troesch3):
     assert back.zones == sol.mesh.zones
 
 
-@pytest.mark.parametrize("text, line", [
-    ("", 1),
-    ("t,u1,u2,transform\n0,0,1,I\n0.5,half,1,I\n1,1,1,I\n", 3),
-    ("t,u1,u2,transform\n0,0,1,I\n0.5,0.5,1,SPX\n1,1,1,I\n", 3),
-    ("t,u1,u2,transform\n0,0,1,I\n0.5,0.5\n1,1,1,I\n", 3),
+@pytest.mark.parametrize("text, match", [
+    ("", "line 1:"),
+    ("t,u1,u2,transform\n0,0,1,I\n0.5,half,1,I\n1,1,1,I\n", "line 3:"),
+    ("t,u1,u2,transform\n0,0,1,I\n0.5,0.5,1,SPX\n1,1,1,I\n", "line 3:"),
+    ("t,u1,u2,transform\n0,0,1,I\n0.5,0.5\n1,1,1,I\n", "line 3:"),
     ("t,u1,u2,transform\n0,0,1,I\n0.6,0.6,1,I\n0.4,0.4,1,I\n1,1,1,I\n",
-     4),
-    ("t,u1,u2,transform\n0,0,1,I\nnan,0.5,1,I\n1,1,1,I\n", 3),
-    ("t,u1,u2,transform\n0,0,1,I\n0.5,0.5,inf,I\n1,1,1,I\n", 3),
+     "line 4:"),
+    ("t,u1,u2,transform\n0,0,1,I\nnan,0.5,1,I\n1,1,1,I\n", "line 3:"),
+    ("t,u1,u2,transform\n0,0,1,I\n0.5,0.5,inf,I\n1,1,1,I\n", "line 3:"),
+    ("t,u1,u2,transform\n", "knot count 0,"),
+    ("t,u1,u2,transform\n0,0,1,I\n", "knot count 1,"),
 ], ids=["empty", "non-numeric", "bad-transform", "short-row",
-        "decreasing-t", "nan-t", "infinite-u"])
-def test_import_solution_rejects_malformed_file(tmp_path, text, line):
+        "decreasing-t", "nan-t", "infinite-u", "header-only", "one-row"])
+def test_import_solution_rejects_malformed_file(tmp_path, text, match):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(ConfigError, match=f"line {line}:"):
+    with pytest.raises(ConfigError, match=match) as info:
         import_solution(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_export_row_count(tmp_path):

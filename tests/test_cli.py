@@ -148,3 +148,37 @@ def test_progress_goes_to_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "solving" in captured.err
+
+
+def test_deep_command(tmp_path):
+    out = tmp_path / "deep.csv"
+    assert main(["deep", "--lambda", "4", "--h-fine", "1e-2",
+                 "--out", str(out), "--quiet"]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "u1", "u2", "transform"]
+    assert len(rows) > 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "0"], ["--lambda", "nan"], ["--lambda", "inf"],
+    ["--h-fine", "0"], ["--h-fine", "-1"], ["--h-fine", "nan"],
+    ["--strategy", "identity"]])
+def test_deep_bad_option_is_config_error(flags):
+    assert main(["deep"] + flags + ["--quiet"]) == 3
+
+
+def test_deep_config_file_supplies_lambda(tmp_path, capsys):
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("lambda = 4\nh_fine = 0.01\n")
+    assert main(["deep", "--config", str(cfg)]) == 0
+    err = capsys.readouterr().err
+    assert "lambda=4: " in err
+    assert "rel err " in err
+
+
+def test_deep_quiet_prints_nothing(tmp_path, capsys):
+    assert main(["deep", "--lambda", "4", "--h-fine", "1e-2",
+                 "--out", str(tmp_path / "deep.csv"), "--quiet"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == captured.err == ""

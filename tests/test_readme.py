@@ -37,7 +37,8 @@ def _command_lines():
 def test_readme_command_lines(tmp_path, capsys):
     commands = _command_lines()
     assert [words[0] for words in commands] == (
-        ["solve", "srn", "errors"] + ["srn"] * 5 + ["errors"] * 3)
+        ["solve", "srn", "errors"] + ["srn"] * 5 + ["errors"] * 3
+        + ["deep"])
     for words in commands:
         out = words.index("--out") + 1
         words[out] = str(tmp_path / words[out])
