@@ -55,8 +55,9 @@ class SrnConfig:
     progress: bool = False
 
     def __post_init__(self):
-        if not (self.delta_lambda > 0):
-            raise ConfigError("delta_lambda must be positive")
+        if not 0 < self.delta_lambda < math.inf:
+            raise ConfigError("delta_lambda must be finite and positive, "
+                              f"got {self.delta_lambda}")
         if not (self.lambda_cap > self.lambda0):
             raise ConfigError("lambda_cap must exceed lambda0")
         _check_step(self.h0)

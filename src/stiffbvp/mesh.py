@@ -127,8 +127,9 @@ class RefinementConfig:
     def __post_init__(self):
         if not (self.M > 0):
             raise ConfigError("M must be positive")
-        if not (self.h_max >= self.h_min > 0):
-            raise ConfigError("need h_max >= h_min > 0")
+        if not np.inf > self.h_max >= self.h_min > 0:
+            raise ConfigError("need finite h_max >= h_min > 0, got "
+                              f"h_min={self.h_min}, h_max={self.h_max}")
 
 
 def init_linear(a: float, b: float, m: int, bc_values, n: int = 2) -> EvolvingMesh:

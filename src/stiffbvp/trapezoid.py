@@ -72,8 +72,8 @@ class NewtonConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not (self.tol > 0):
-            raise ConfigError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
 
 
 @dataclass

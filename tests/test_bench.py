@@ -40,6 +40,10 @@ def test_endpoint_derivatives(troesch3):
 def test_srn_config_validation():
     with pytest.raises(ConfigError):
         SrnConfig(delta_lambda=0.0)
+    # an infinite step would jump straight to the lambda cap
+    for step in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            SrnConfig(delta_lambda=step)
     with pytest.raises(ConfigError):
         SrnConfig(lambda0=10.0, lambda_cap=5.0)
 

@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from stiffbvp import bench
 from stiffbvp.cli import main
 
 
@@ -34,6 +35,22 @@ def test_bad_cold_start_step_is_config_error(h0):
 
 def test_infinite_lambda_is_config_error():
     assert main(["solve", "--lambda", "inf", "--quiet"]) == 3
+
+
+# each would solve before the fault showed, if it showed at all
+@pytest.mark.parametrize("argv", [
+    ["solve", "--lambda", "3", "--tol", "inf"],
+    ["solve", "--lambda", "3", "--h-min", "0.01", "--h-max", "inf"],
+    ["srn", "--delta-lambda", "inf"],
+    ["deep", "--lambda", "4", "--h-fine", "inf"]],
+    ids=["tol", "h-max", "delta-lambda", "h-fine"])
+def test_infinite_setting_is_config_error_before_any_solve(monkeypatch,
+                                                           argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve was made")
+
+    monkeypatch.setattr(bench, "newton_solve", no_solve)
+    assert main(argv + ["--quiet"]) == 3
 
 
 def test_unknown_problem_is_config_error():

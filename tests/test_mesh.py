@@ -178,6 +178,11 @@ def test_refine_config_validation():
         RefinementConfig(M=0.0, h_min=0.01, h_max=0.1)
     with pytest.raises(ConfigError):
         RefinementConfig(M=0.1, h_min=0.2, h_max=0.1)
+    # inf >= inf > 0 holds, but an infinite step would collapse the mesh
+    for h_min, h_max in ((np.inf, np.inf), (0.01, np.inf), (np.nan, 0.1),
+                         (0.01, np.nan)):
+        with pytest.raises(ConfigError, match="finite"):
+            RefinementConfig(M=0.1, h_min=h_min, h_max=h_max)
     # equal bounds are allowed: pure h_max splitting
     RefinementConfig(M=0.1, h_min=0.1, h_max=0.1)
 

@@ -706,8 +706,10 @@ def test_end_rows_follow_the_chain_rule(troesch3, problem):
 # -- Newton solver --------------------------------------------------------
 
 def test_newton_config_validation():
-    with pytest.raises(ConfigError):
-        NewtonConfig(tol=0.0)
+    # an infinite tol would accept the initial guess as converged
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            NewtonConfig(tol=tol)
 
 
 def test_linear_problem_accuracy():
