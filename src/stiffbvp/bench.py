@@ -274,7 +274,8 @@ def error_curve(family: Callable[[float], ProblemSpec],
                 progress: bool = False) -> List[dict]:
     """Relative endpoint-derivative errors per lambda (cold starts).
 
-    Failed solves produce a row with ``failed=True`` and no numbers.
+    Failed solves produce a row with ``failed=True`` and no numbers; a
+    bad cold-start step h0 raises ConfigError before any solve.
     """
     oracle = ContinuationOracle(family, progress=progress)
     h_test = rcfg.h_min if rcfg is not None else h0
@@ -282,11 +283,11 @@ def error_curve(family: Callable[[float], ProblemSpec],
     rows = []
     for lam in lambdas:
         spec = family(lam)
+        mesh = uniform_mesh(spec, h0)
         if progress:
             print(f"error curve lambda={lam:g}", file=sys.stderr)
         try:
-            sol = solve_spec(spec, uniform_mesh(spec, h0), strategy,
-                             newton, rcfg)
+            sol = solve_spec(spec, mesh, strategy, newton, rcfg)
         except StiffBvpError:
             rows.append({"lambda": lam, "rel_err_u2_0": None,
                          "rel_err_u2_1": None, "mesh_size": None,

@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         io_flags(p)
-        p.add_argument("--problem", default="troesch")
         p.add_argument("--strategy", default="identity",
                        choices=list(STRATEGIES))
         p.add_argument("--h-min", type=float, default=None)
@@ -55,6 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a single instance")
     common(p_solve)
+    p_solve.add_argument("--problem", default="troesch")
     p_solve.add_argument("--lambda", dest="lam", type=float, default=None)
 
     p_srn = sub.add_parser("srn", help="continuation protocol")
@@ -131,8 +131,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_srn(args) -> int:
-    if args.problem != "troesch":
-        raise ConfigError("continuation is defined for the troesch family")
     cfg = SrnConfig(
         lambda0=args.lambda0, delta_lambda=args.delta_lambda,
         stop=StopCriterion(args.stop),
@@ -150,8 +148,6 @@ def _cmd_srn(args) -> int:
 
 
 def _cmd_errors(args) -> int:
-    if args.problem != "troesch":
-        raise ConfigError("error curves are defined for the troesch family")
     try:
         lambdas = [float(s) for s in args.lambdas.split(",") if s.strip()]
     except ValueError:

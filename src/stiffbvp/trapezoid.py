@@ -209,13 +209,16 @@ class _Sweep:
 
     def zone_view(self, Q: np.ndarray):
         """Knots s..e of every zone, as _Zone(tr, s, e, q, tau, head)
-        with q = Q[s:e+1].T and tau views of the iterate and the taus.
+        with q = Q[s:e+1].T and tau views of the iterate and the taus,
+        and the original end states (u_a, t_a, u_b, t_b), each unmapped
+        once: returns (view, ends).
 
         The start of every later zone is a switch: its knot is owned by
         the previous zone, so q[:, 0] is in that zone's variables.  Its
         head (q_s, tau_s, u_s) is the knot re-expressed once, through its
         original state u_s, in this zone's variables; the first zone's
-        head is None.  Every natural step is checked before returning.
+        head is None.  Every natural step is checked before the ends are
+        unmapped.
         """
         zero = [] if self.zero_step is None else [self.zero_step]
         view, head = [], None
@@ -230,7 +233,9 @@ class _Sweep:
         if zero:
             raise SingularStepError(f"zero natural step on interval "
                                     f"{min(zero)}")
-        return view
+        ends = (*_unmap(self.zones[0][0], Q[0], self.tau[0]),
+                *_unmap(self.zones[-1][0], Q[-1], self.tau[-1]))
+        return view, ends
 
     def pieces(self, view, a: int, b: int):
         """Every zone's part of intervals a..b-1, in order, as (k, lo, hi,
@@ -247,11 +252,10 @@ class _Sweep:
                 q[:, 0], tau[0] = head[0], head[1]
             yield k, lo, hi, q, tau
 
-    def residual_at(self, view, ends=None) -> np.ndarray:
-        """Residual vector at a zone view: the m*n interval rows, written
-        2*_CHUNK intervals at a time from one rhs evaluation per zone and
-        batch, then the n boundary rows at the view's end_states, which
-        are unmapped here unless given as ``ends``."""
+    def residual_at(self, view, ends) -> np.ndarray:
+        """Residual vector at a zone view and its end states: the m*n
+        interval rows, written 2*_CHUNK intervals at a time from one rhs
+        evaluation per zone and batch, then the n boundary rows."""
         n, m = self.n, self.m
         out = np.empty((m + 1) * n)
         rows = out[:m * n].reshape(m, n).T
@@ -264,20 +268,12 @@ class _Sweep:
                 mean = f[:, :-1] + f[:, 1:]
                 mean *= 0.5
                 r -= mean
-        out[m * n:] = self.boundary_residual(
-            *(self.end_states(view) if ends is None else ends))
+        out[m * n:] = self.boundary_residual(*ends)
         return out
 
     def residual(self, Q: np.ndarray) -> np.ndarray:
         """Residual vector at the iterate Q."""
-        return self.residual_at(self.zone_view(Q))
-
-    def end_states(self, view):
-        """Original-variable end states (u_a, t_a, u_b, t_b) at a zone
-        view."""
-        u_a, t_a = _unmap(self.zones[0][0], view[0].q[:, 0], self.tau[0])
-        u_b, t_b = _unmap(self.zones[-1][0], view[-1].q[:, -1], self.tau[-1])
-        return u_a, t_a, u_b, t_b
+        return self.residual_at(*self.zone_view(Q))
 
     def boundary_residual(self, u_a, t_a, u_b, t_b) -> np.ndarray:
         """Boundary rows at the original end states: g(u_a, u_b), except
@@ -337,16 +333,15 @@ class _Sweep:
                 L[..., i] = dr @ dphi[:, :n]
         return L, R
 
-    def boundary_blocks(self, view, ends=None):
-        """C and D of the boundary rows at a zone view: C = dg/d(u_a, t_a)
-        @ d(u_a, t_a)/dq_0, and D likewise at knot m.  g reads only the
-        end states' u, so central differences of g run over (u_a, u_b),
-        and its t columns are zero; a pinned row, t - a (or t - b), is set
-        exactly.  ``ends`` are the view's end_states, unmapped here unless
-        given."""
+    def boundary_blocks(self, view, ends):
+        """C and D of the boundary rows at a zone view and its end states:
+        C = dg/d(u_a, t_a) @ d(u_a, t_a)/dq_0, and D likewise at knot m.
+        g reads only the end states' u, so central differences of g run
+        over (u_a, u_b), and its t columns are zero; a pinned row, t - a
+        (or t - b), is set exactly."""
         n = self.n
         q0, qm = view[0].q[:, 0], view[-1].q[:, -1]
-        u_a, _, u_b, _ = self.end_states(view) if ends is None else ends
+        u_a, _, u_b, _ = ends
         # a non-finite g or difference is reported below
         with np.errstate(over="ignore", invalid="ignore"):
             du = central_differences(lambda w: self.bc.residual(w[:n], w[n:]),
@@ -367,9 +362,9 @@ class _Sweep:
                                  (self.zones[-1][0], dg[:, n + 1:], qm))]
         return C, D
 
-    def jacobian(self, view, ends=None) -> StreamedJacobian:
-        """The Newton matrix at a zone view, its interval rows evaluated
-        when a solve reads them; ``ends`` as for boundary_blocks."""
+    def jacobian(self, view, ends) -> StreamedJacobian:
+        """The Newton matrix at a zone view and its end states, its
+        interval rows evaluated when a solve reads them."""
         return StreamedJacobian(partial(self.block_rows, view),
                                 *self.boundary_blocks(view, ends))
 
@@ -383,8 +378,7 @@ class _Sweep:
         del self.Q0
         # the residual of last_Q; inf until the first one is evaluated
         self.norm = np.inf
-        view = self.zone_view(Q)
-        ends = self.end_states(view)
+        view, ends = self.zone_view(Q)
         r = self.residual_at(view, ends)
         norm = self.norm = float(np.abs(r).max())
         if np.isnan(norm):
@@ -407,8 +401,7 @@ class _Sweep:
                 np.multiply(dQ, s, out=trial)
                 trial += Q
                 try:
-                    view = self.zone_view(trial)
-                    ends = self.end_states(view)
+                    view, ends = self.zone_view(trial)
                     r_new = self.residual_at(view, ends)
                     new_norm = float(np.abs(r_new).max())
                 except (EvaluationError, SingularStepError):
@@ -448,7 +441,7 @@ def assemble_jacobian(problem: SegmentedProblem) -> BlockJacobian:
     that a Newton step's solve streams, gathered into A and B."""
     sweep = _Sweep(problem)
     n, m = sweep.n, sweep.m
-    jac = sweep.jacobian(sweep.zone_view(sweep.Q0))
+    jac = sweep.jacobian(*sweep.zone_view(sweep.Q0))
     L = np.empty((n, n, m))
     R = np.empty((n, n, m))
     for a in range(0, m, 2 * _CHUNK):
@@ -479,12 +472,11 @@ def solve_linear_block(jac: BlockJacobian | StreamedJacobian,
     back-substitution runs down the levels.  Returns the solution as an
     (m+1, n) array.
 
-    While a level has more rows than one block, _CHUNK << _TIER, the
-    levels run in tiers of _TIER: a tier takes each block of its first
-    level's rows down all its levels in a block-sized buffer, so for the
-    whole mesh only its last level's rows, one per 2**_TIER rows of its
-    first, are held.  The levels of at most one block's rows follow one
-    after another, in place.  Either order reflects the same pairs,
+    The levels run in tiers of _TIER: a tier takes each block of
+    _CHUNK << _TIER rows of its first level down all its levels in a
+    block-sized buffer, so for the whole mesh only its last level's rows,
+    one per 2**_TIER rows of its first, are held.  A level of at most one
+    block's rows is one block.  Any block size reflects the same pairs,
     _CHUNK at a time, so it changes no result.
 
     ``jac`` is a BlockJacobian or a StreamedJacobian, read only: the first
@@ -502,19 +494,18 @@ def solve_linear_block(jac: BlockJacobian | StreamedJacobian,
     # i * 2**k on level k, except the last, which is x_m
     rows, r = jac.rows, rhs_int.T
     # coarser levels' rows [L | R | r]: for the whole mesh, those of each
-    # tier's last level, or of every level once one block holds them,
-    # written over the previous ones as they are formed; and a block's
-    # rows within a tier.  The inputs are only read.
+    # tier's last level, written over the previous tier's as they are
+    # formed; and a block's rows within a tier of two levels or more.  The
+    # inputs are only read.
     W = _CHUNK << _TIER
-    blocked = m > W
-    coarse = np.empty((n, 2 * n + 1, sizes[min(_TIER, depth)] if blocked
-                       else (m + 1) // 2))
-    block = np.empty((n, 2 * n + 1, W // 2)) if blocked and depth > 1 else None
+    coarse = np.empty((n, 2 * n + 1, sizes[min(_TIER, depth)]))
+    block = (np.empty((n, 2 * n + 1, (min(W, m) + 1) // 2)) if depth > 1
+             else None)
     coarse_rows = partial(_coarse_rows, coarse, n)
     # each level's top rows (see _reduce_level)
     levels = []
     k = 0
-    while k < depth and sizes[k] > W:
+    while k < depth:
         # a tier of levels k..k+d-1 over blocks of W rows of level k
         d = min(_TIER, depth - k)
         levels += [np.empty((n, 3 * n + 1, M // 2)) for M in sizes[k:k + d]]
@@ -532,12 +523,6 @@ def solve_linear_block(jac: BlockJacobian | StreamedJacobian,
                 M = (M + 1) // 2
                 src, rb = partial(_coarse_rows, dst, n), dst[:, 2 * n, :M]
         k += d
-        rows, r = coarse_rows, coarse[:, 2 * n, :sizes[k]]
-    # the levels of at most one block's rows, each in place in coarse
-    while k < depth:
-        levels.append(np.empty((n, 3 * n + 1, sizes[k] // 2)))
-        _reduce_level(rows, r, sizes[k], 1 << k, coarse, levels[k])
-        k += 1
         rows, r = coarse_rows, coarse[:, 2 * n, :sizes[k]]
     X = _dense_tail(*rows(0, sizes[-1]), r, jac.C, jac.D, rhs_bc,
                     1 << depth, m)
@@ -567,8 +552,7 @@ def _coarse_rows(coarse: np.ndarray, n: int, a: int, b: int):
 
 
 def _reduce_level(rows: Callable, r: np.ndarray, M: int, stride: int,
-                  coarse: np.ndarray, top: np.ndarray,
-                  first: int = 0) -> None:
+                  coarse: np.ndarray, top: np.ndarray, first: int) -> None:
     """One level of cyclic reduction over M rows, stored along the last
     axis: rows(a, b) gives the blocks L and R of rows a..b-1, each of shape
     (n, n, b-a), and r has shape (n, M).  The rows are those of a block

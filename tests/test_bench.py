@@ -190,6 +190,15 @@ def test_error_curve_rows_and_failures():
     assert rows[1]["rel_err_u2_0"] is None
 
 
+@pytest.mark.parametrize("h0", [0.0, -1.0, math.nan, math.inf, 1e-12])
+def test_error_curve_bad_cold_start_step_raises(monkeypatch, h0):
+    # a bad step is a configuration error, not a failed row per lambda
+    calls = _record_solves(monkeypatch)
+    with pytest.raises(ConfigError):
+        error_curve(troesch, [3.0, 4.0], strategy=IdentityStrategy(), h0=h0)
+    assert calls == []
+
+
 def test_error_curve_transformed_config():
     # adaptive two-zone configuration stays accurate at lam = 2
     rows = error_curve(troesch, [2.0], strategy=GrowthZoneStrategy(),

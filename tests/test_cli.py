@@ -143,6 +143,11 @@ def test_srn_non_troesch_rejected():
     assert main(["srn", "--problem", "linear", "--quiet"]) == 3
 
 
+# only solve takes --problem: srn and errors run the troesch family
+def test_errors_non_troesch_rejected():
+    assert main(["errors", "--problem", "linear", "--quiet"]) == 3
+
+
 def test_errors_command(tmp_path):
     out = tmp_path / "errors.csv"
     code = main(["errors", "--lambdas", "2,3", "--out", str(out),
@@ -153,6 +158,17 @@ def test_errors_command(tmp_path):
     assert len(rows) == 3
     assert rows[1][-1] == "ok"
     assert float(rows[1][1]) < 1.0
+
+
+# errors records a failed solve as a row and goes on, but a bad step fails
+# every cold start alike, so it exits before any solve
+@pytest.mark.parametrize("h0", ["0", "-1", "nan", "inf", "1e-12"])
+def test_errors_bad_cold_start_step_is_config_error(monkeypatch, h0):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve was made")
+
+    monkeypatch.setattr(bench, "newton_solve", no_solve)
+    assert main(["errors", "--h0", h0, "--lambdas", "3", "--quiet"]) == 3
 
 
 def test_errors_bad_lambda_list():

@@ -127,6 +127,13 @@ def test_normalize_raises_when_too_few_knots_survive():
         normalize(EvolvingMesh(U, T), merge_tol=10.0)
 
 
+def test_normalize_cannot_decimate_a_two_knot_mesh():
+    # the only interval has equal t, and both its knots are boundary knots
+    mesh = EvolvingMesh(np.zeros((2, 2)), np.array([0.5, 0.5]))
+    with pytest.raises(MeshError, match="^cannot decimate a boundary knot$"):
+        normalize(mesh)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(0.001, 0.999), min_size=2, max_size=30,
                 unique=True))
@@ -239,6 +246,20 @@ def test_refine_knot_cap(monkeypatch):
     cfg = RefinementConfig(M=10.0, h_min=1e-4, h_max=1e-4)
     with pytest.raises(RefinementError):
         refine(mesh, _constant_system(), cfg)
+
+
+def test_refine_gives_up_after_64_passes():
+    # the rhs jumps at t = 0, so the first interval's rhs difference stays
+    # 1 however often it is bisected, and h_min never stops it
+    def rhs(u, t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.where(t > 0.0, 1.0, 0.0), np.zeros_like(t)])
+
+    mesh = init_linear(0.0, 1.0, 10, (0.0, 1.0))
+    cfg = RefinementConfig(M=0.1, h_min=1e-300, h_max=1.0)
+    with pytest.raises(RefinementError,
+                       match=r"^refinement failed to settle \(64 passes\)$"):
+        refine(mesh, OdeSystem(2, rhs), cfg)
 
 
 def test_refine_transform_inheritance():

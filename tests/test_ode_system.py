@@ -27,6 +27,14 @@ def test_rhs_shape_checked():
         eval_rhs(system, [0.0, 0.0], 0.0)
 
 
+def test_batch_rhs_shape_checked():
+    system = OdeSystem(2, lambda u, t: u[:1])
+    with pytest.raises(EvaluationError,
+                       match=r"^rhs returned shape \(1, 5\) for a batch, "
+                             r"expected \(2, 5\)$"):
+        eval_rhs_batch(system, np.ones((2, 5)), np.linspace(0.0, 1.0, 5))
+
+
 def test_nonfinite_rhs_raises():
     system = OdeSystem(2, lambda u, t: np.array([1.0, np.inf]))
     with pytest.raises(EvaluationError) as exc:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from stiffbvp import (ConfigError, IdentityStrategy, NewtonConfig,
-                      linear_verification, problem_by_name, reference_lookup,
-                      solve_spec, troesch, troesch_endpoints, uniform_mesh)
+                      ProblemSpec, linear_verification, problem_by_name,
+                      reference_lookup, solve_spec, troesch,
+                      troesch_endpoints, uniform_mesh)
 from stiffbvp import problems
 from stiffbvp.problems import _TROESCH_REFERENCE
 
@@ -39,6 +40,13 @@ def test_troesch_validation():
     for lam in (0.0, -2.0, np.nan, np.inf):
         with pytest.raises(ConfigError, match="finite and positive"):
             troesch(lam)
+
+
+@pytest.mark.parametrize("domain", [(1.0, 1.0), (1.0, 0.0), (0.0, np.nan)])
+def test_problem_spec_domain_validation(domain):
+    spec = troesch(3.0)
+    with pytest.raises(ConfigError, match="^domain must satisfy a < b$"):
+        ProblemSpec(spec.system, spec.bc, domain)
 
 
 # checked before any numpy work: inf would warn there, 0 and -1 would fail

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from stiffbvp import (AutoStrategy, ConfigError, GrowthZoneStrategy,
-                      IdentityStrategy, NewtonConfig, RefinementConfig,
-                      SteepGrowthZoneStrategy, StrategyError,
-                      select_flips, select_swap_index, solve_spec,
-                      stiffness_measure, strategy_by_name, troesch,
-                      uniform_mesh)
+from stiffbvp import (AutoStrategy, BoundaryConditions, ConfigError,
+                      GrowthZoneStrategy, IdentityStrategy, NewtonConfig,
+                      RefinementConfig, SteepGrowthZoneStrategy,
+                      StrategyError, select_flips, select_swap_index,
+                      solve_spec, stiffness_measure, strategy_by_name,
+                      troesch, uniform_mesh)
 from stiffbvp.mesh import init_linear
 from stiffbvp.ode_system import OdeSystem
 
@@ -92,6 +92,24 @@ def test_auto_strategy_boundary_interval_restricted_to_pins():
     out = intervals(AutoStrategy().assign(mesh, system, spec.bc))
     assert out[-1].swap in (None, 1)
     assert out[0].swap in (None, 1)
+
+
+def test_auto_strategy_keeps_identity_without_a_pin():
+    # every interval is stiff and u1 moves on each; the first interval may
+    # swap u1 only where u(a) pins it
+    system = OdeSystem(2, lambda u, t: 20.0 * u[::-1])
+    mesh = init_linear(0.0, 1.0, 5, (1.0, 2.0))
+
+    def g(ua, ub):
+        return np.array([ua[1] - 1.0, ub[0] - 2.0])
+
+    right = {("b", 1): (1, 2.0)}
+    both = {("a", 1): (0, 1.0), **right}
+    for pins, first in ((right, None), (both, 1)):
+        bc = BoundaryConditions(g, pins)
+        out = intervals(AutoStrategy().assign(mesh, system, bc))
+        assert out[0].swap == first
+        assert [tr.swap for tr in out[1:]] == [1] * 4
 
 
 def test_auto_strategy_never_swaps_a_flat_component():

@@ -15,7 +15,8 @@ from stiffbvp import (BoundaryConditions, ConfigError, EvaluationError,
                       NewtonConfig, NonConvergence, NonStationaryBoundary,
                       OdeSystem, RefinementConfig, SegmentedProblem,
                       SingularLinearSystem, SingularStepError,
-                      SteepGrowthZoneStrategy, Transform, assemble_jacobian,
+                      SteepGrowthZoneStrategy, Transform,
+                      TransformStrategy, assemble_jacobian,
                       assemble_residual, from_second_order, import_solution,
                       linear_verification, newton_solve, solve_linear_block,
                       solve_spec, troesch, uniform_mesh)
@@ -203,9 +204,9 @@ def test_jacobian_work_count(monkeypatch):
     residual_at = _Sweep.residual_at
     boundary_residual = _Sweep.boundary_residual
 
-    def counted_residual_at(self, view):
+    def counted_residual_at(self, view, ends):
         calls["residual"] += 1
-        return residual_at(self, view)
+        return residual_at(self, view, ends)
 
     def counted_boundary_residual(self, *ends):
         calls["boundary_residual"] += 1
@@ -225,20 +226,32 @@ def test_jacobian_work_count(monkeypatch):
 
 
 def test_newton_step_unmaps_the_ends_once(monkeypatch):
-    # the boundary blocks reuse the end states that the accepted trial's
-    # residual unmapped: one end_states call per zone view, none more
+    # the residual and the boundary blocks read the end states that the
+    # zone view unmapped: each view unmaps its two ends and each switch
+    # once, and no other knot is unmapped in a Newton step
     # the iterate converged at lam = 6 starts the lam = 6.5 sweep
     problem = _three_zone_problem()
     problem.system = troesch(6.5).system
-    calls = {"zone_view": 0, "end_states": 0}
-    for name in calls:
-        def counted(self, view, name=name, method=getattr(_Sweep, name)):
-            calls[name] += 1
-            return method(self, view)
-        monkeypatch.setattr(_Sweep, name, counted)
+    unmap, zone_view = trapezoid._unmap, _Sweep.zone_view
+    unmaps, per_view = [0], []
+
+    def counted_unmap(*args):
+        unmaps[0] += 1
+        return unmap(*args)
+
+    def counted_zone_view(self, Q):
+        before = unmaps[0]
+        out = zone_view(self, Q)
+        per_view.append(unmaps[0] - before)
+        return out
+
+    monkeypatch.setattr(trapezoid, "_unmap", counted_unmap)
+    monkeypatch.setattr(_Sweep, "zone_view", counted_zone_view)
     _, iters, _ = _Sweep(problem).run(NewtonConfig())
     assert iters >= 2
-    assert calls["end_states"] == calls["zone_view"]
+    switches = len(problem.mesh.zones) - 1
+    assert per_view == [2 + switches] * len(per_view)
+    assert unmaps[0] == sum(per_view)
 
 
 def test_non_finite_boundary_derivative_is_evaluation_error(troesch3):
@@ -251,6 +264,29 @@ def test_non_finite_boundary_derivative_is_evaluation_error(troesch3):
     assert np.isfinite(assemble_residual(problem)).all()
     with pytest.raises(EvaluationError, match="non-finite boundary"):
         assemble_jacobian(problem)
+
+
+def _bc_problem(residual):
+    """Troesch's lam = 3 cold start with its pins and the given g."""
+    spec = troesch(3.0)
+    bc = BoundaryConditions(residual, spec.bc.pins)
+    return SegmentedProblem(spec.system, bc, uniform_mesh(spec, 0.25),
+                            spec.domain)
+
+
+def test_boundary_residual_shape_is_evaluation_error():
+    problem = _bc_problem(lambda ua, ub: np.array([ua[0], ub[0] - 1.0, 0.0]))
+    with pytest.raises(EvaluationError,
+                       match=r"^boundary residual has shape \(3,\), "
+                             r"expected \(2,\)$"):
+        assemble_residual(problem)
+
+
+def test_non_finite_boundary_residual_is_evaluation_error():
+    problem = _bc_problem(lambda ua, ub: np.array([ua[0], np.nan]))
+    with pytest.raises(EvaluationError,
+                       match="^non-finite boundary residual$"):
+        assemble_residual(problem)
 
 
 def test_nan_knot_is_evaluation_error():
@@ -296,7 +332,7 @@ def test_switch_from_identity_zone_matches_general_chain_rule():
     # identity puts it back
     problem = _three_zone_problem()
     sweep = _Sweep(problem)
-    view = sweep.zone_view(sweep.Q0)
+    view, _ = sweep.zone_view(sweep.Q0)
     assert view[0].tr.is_identity
     unit = Transform()
     object.__setattr__(unit, "is_identity", False)
@@ -327,10 +363,10 @@ def test_streamed_solve_matches_assembled(monkeypatch, m):
     whole = assemble_residual(problem)
     monkeypatch.setattr(trapezoid, "_CHUNK", 3)
     sweep = _Sweep(problem)
-    view = sweep.zone_view(sweep.Q0)
-    r = sweep.residual_at(view)
+    view, ends = sweep.zone_view(sweep.Q0)
+    r = sweep.residual_at(view, ends)
     np.testing.assert_array_equal(r, whole)
-    jac = sweep.jacobian(view)
+    jac = sweep.jacobian(view, ends)
     reads = []
     rows = jac.rows
 
@@ -538,6 +574,18 @@ def test_block_solve_singular_pair_in_later_block(monkeypatch, knot):
         assert exc.value.pivot == knot - 1
 
 
+def test_block_solve_overflow_is_singular_linear_system():
+    # interval rows of size 1e200 overflow the reflections' norms, and the
+    # solution comes out non-finite
+    m, n = 40, 2
+    jac = _random_block_system(np.random.default_rng(0), m, n)
+    jac.A *= 1e200
+    jac.B *= 1e200
+    with pytest.raises(SingularLinearSystem,
+                       match="^overflow in the block solve$"):
+        solve_linear_block(jac, np.ones((m, n)), np.ones(n))
+
+
 def test_block_solve_memory():
     # the solve holds every level's top rows, 112 bytes per interval at
     # n = 2, and for the whole mesh only each tier's last-level rows, one
@@ -678,17 +726,18 @@ def test_residual_reads_fixed_ends(troesch3, transform):
         spec.system, spec.bc, _off_end_mesh(Transform(swap=1)),
         spec.domain), id="SP1")])
 def test_end_rows_follow_the_chain_rule(troesch3, problem):
-    # end_states and boundary_blocks skip the maps at an identity end; the
-    # maps and the chain rule, written out, give the same bits
+    # zone_view's end states and boundary_blocks skip the maps at an
+    # identity end; the maps and the chain rule, written out, give the same
+    # bits
     problem = problem(troesch3)
     sweep = _Sweep(problem)
-    view = sweep.zone_view(sweep.Q0)
+    view, ends = sweep.zone_view(sweep.Q0)
     n = sweep.n
     (tr_a, _, _), (tr_b, _, _) = sweep.zones[0], sweep.zones[-1]
     q0, qm = view[0].q[:, 0], view[-1].q[:, -1]
     u_a, t_a = unmap_state(tr_a, q0, sweep.tau[0])
     u_b, t_b = unmap_state(tr_b, qm, sweep.tau[-1])
-    for got, want in zip(sweep.end_states(view), (u_a, t_a, u_b, t_b)):
+    for got, want in zip(ends, (u_a, t_a, u_b, t_b)):
         assert np.array_equal(got, want)
     dg = np.zeros((n, 2 * n + 2))
     du = central_differences(lambda w: problem.bc.residual(w[:n], w[n:]),
@@ -698,7 +747,7 @@ def test_end_rows_follow_the_chain_rule(troesch3, problem):
         if row is not None:
             dg[row] = 0.0
             dg[row, col] = 1.0
-    C, D = sweep.boundary_blocks(view)
+    C, D = sweep.boundary_blocks(view, ends)
     assert np.array_equal(C, dg[:, :n + 1] @ state_jacobian(tr_a, q0)[:, :n])
     assert np.array_equal(D, dg[:, n + 1:] @ state_jacobian(tr_b, qm)[:, :n])
 
@@ -776,6 +825,32 @@ def test_failure_with_nothing_to_decimate_says_where():
                              r"11 knots, no knots to decimate\)$") as exc:
         newton_solve(problem, rcfg=None)
     assert isinstance(exc.value.__cause__, NonConvergence)
+
+
+class _Alternating(TransformStrategy):
+    """One identity zone on odd calls, I | SP1.FP2 halves on even ones."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def assign(self, mesh, system, bc):
+        self.calls += 1
+        m = mesh.interval_count
+        if self.calls % 2:
+            return ((Transform(), 0, m),)
+        return ((Transform(), 0, m // 2),
+                (Transform.parse("SP1.FP2"), m // 2, m))
+
+
+def test_zones_that_never_settle_raise_non_convergence():
+    # every sweep converges, but the zones change before every one
+    spec = troesch(1.0)
+    strategy = _Alternating()
+    with pytest.raises(NonConvergence,
+                       match=r"^transform assignment and refinement did not "
+                             r"settle in 40 outer iterations$"):
+        solve_spec(spec, uniform_mesh(spec, 0.1), strategy)
+    assert strategy.calls == trapezoid.MAX_OUTER == 40
 
 
 def _large_three_zone_problem(knots, lam=6.0):
